@@ -19,6 +19,7 @@
 //! framing error is.
 
 use camp_bench::corpus;
+use camp_obs::Histogram;
 use camp_serve::{Client, PredictRequest, Response};
 use camp_sim::Platform;
 use std::net::SocketAddr;
@@ -213,7 +214,8 @@ fn run_client(addr: SocketAddr, slice: Vec<PredictRequest>) -> Vec<Outcome> {
 }
 
 /// Renders the latency/throughput TSV: a `metric\tvalue` summary block,
-/// then a power-of-two latency histogram.
+/// then the power-of-two latency histogram (`camp_obs::hist`, the same
+/// buckets the daemon's `stats` reports).
 fn render_summary(outcomes: &[Outcome], wall_us: u64, args: &Args) -> String {
     let mut latencies: Vec<u64> = outcomes.iter().map(|o| o.latency_us).collect();
     latencies.sort_unstable();
@@ -247,15 +249,12 @@ fn render_summary(outcomes: &[Outcome], wall_us: u64, args: &Args) -> String {
         out.push_str(&format!("{metric}\t{value}\n"));
     }
     out.push_str("\nbucket_le_us\tcount\n");
-    let mut bound = 1u64;
-    let mut remaining: &[u64] = &latencies;
-    while !remaining.is_empty() {
-        let split = remaining.partition_point(|&l| l <= bound);
-        if split > 0 {
-            out.push_str(&format!("{bound}\t{split}\n"));
-        }
-        remaining = &remaining[split..];
-        bound *= 2;
+    let histogram = Histogram::new();
+    for &latency in &latencies {
+        histogram.record(latency);
+    }
+    for (bound, count) in histogram.snapshot().nonzero() {
+        out.push_str(&format!("{bound}\t{count}\n"));
     }
     out
 }

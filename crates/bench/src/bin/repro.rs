@@ -21,7 +21,7 @@
 //! them.
 
 use camp_bench::{experiments, explain, par, run_experiment, Context, ExperimentError, Table};
-use camp_obs::{chrome, manifest, AttrValue};
+use camp_obs::{chrome, manifest, AttrValue, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -137,12 +137,12 @@ fn write_observability(args: &Args, ctx: &Context, argv: &[String], wall_us: u64
     };
     let mut ok = true;
     if let Some(path) = &args.manifest_out {
-        let meta: Vec<(&'static str, AttrValue)> = vec![
+        let meta: Vec<(&'static str, Json)> = vec![
             ("argv", argv.join(" ").into()),
             ("runs_executed", ctx.runs_executed().into()),
             ("cache_hits", ctx.cache_hits().into()),
         ];
-        let timing: Vec<(&'static str, AttrValue)> =
+        let timing: Vec<(&'static str, Json)> =
             vec![("jobs", args.jobs.into()), ("wall_us", wall_us.into())];
         ok &= write(path, "manifest", manifest::render("repro", meta, timing, ctx.recorder()));
     }

@@ -6,7 +6,7 @@
 //! and null. The parser exists so the in-tree checker and the tests can
 //! validate emitted artifacts without a serde dependency.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Object members keep insertion order, which keeps emitted
 /// manifests deterministic and diffable.
@@ -159,6 +159,12 @@ impl From<u64> for Json {
     }
 }
 
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
 impl From<bool> for Json {
     fn from(b: bool) -> Json {
         Json::Bool(b)
@@ -170,10 +176,11 @@ fn write_number(n: f64, out: &mut String) {
         // JSON has no NaN/Infinity; emit null rather than invalid output.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < (1u64 << 53) as f64 {
-        out.push_str(&format!("{}", n as i64));
+        // Formatting into a String cannot fail.
+        let _ = write!(out, "{}", n as i64);
     } else {
         // Rust's shortest-roundtrip float formatting is valid JSON.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -186,7 +193,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -306,58 +315,72 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one piece. Both are ASCII, so the run ends on a
+            // char boundary, and scanning is linear in the string length.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run =
+                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| ParseError {
+                    offset: start + e.valid_up_to(),
+                    message: "invalid utf-8".to_string(),
+                })?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let unit = self.hex4()?;
-                            // Combine a UTF-16 surrogate pair if present.
-                            let c = if (0xd800..0xdc00).contains(&unit) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((unit as u32 - 0xd800) << 10)
-                                        + (low as u32 - 0xdc00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(unit as u32)
-                            };
-                            out.push(c.ok_or_else(|| self.error("invalid unicode escape"))?);
-                            continue; // hex4 advanced past the digits
-                        }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.escape(&mut out)?,
             }
         }
+    }
+
+    /// Decodes the escape sequence at the cursor (a backslash) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let unit = self.hex4()?;
+                // Combine a UTF-16 surrogate pair if present.
+                let c = if (0xd800..0xdc00).contains(&unit) {
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        // A high surrogate followed by anything but a low
+                        // one is invalid (and must not underflow below).
+                        (0xdc00..0xe000)
+                            .contains(&low)
+                            .then(|| {
+                                0x10000 + ((unit as u32 - 0xd800) << 10) + (low as u32 - 0xdc00)
+                            })
+                            .and_then(char::from_u32)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(unit as u32)
+                };
+                out.push(c.ok_or_else(|| self.error("invalid unicode escape"))?);
+                return Ok(()); // hex4 advanced past the digits
+            }
+            _ => return Err(self.error("invalid escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u16, ParseError> {
@@ -461,6 +484,8 @@ mod tests {
         assert_eq!(parse(r#""A""#).unwrap().as_str(), Some("A"));
         assert_eq!(parse(r#""😀""#).unwrap().as_str(), Some("😀"));
         assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate rejected");
+        assert!(parse(r#""\ud83d\u0041""#).is_err(), "high surrogate needs a low one");
+        assert!(parse(r#""\udc00""#).is_err(), "lone low surrogate rejected");
     }
 
     #[test]

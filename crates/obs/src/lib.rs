@@ -1,7 +1,7 @@
 //! `camp-obs`: observability layer for the CAMP pipeline.
 //!
 //! Std-only (no external dependencies; the workspace builds offline).
-//! Three pillars, mirroring how real heterogeneous-memory characterization
+//! Four pillars, mirroring how real heterogeneous-memory characterization
 //! work instruments its runs:
 //!
 //! * **Epoch tapes** ([`tape`]) — per-epoch time series of the
@@ -12,6 +12,9 @@
 //! * **Structured spans** ([`span`]) — experiment/run/calibration scopes
 //!   collected by a thread-safe [`Recorder`] in the bench harness,
 //!   replacing ad-hoc stderr timings.
+//! * **Histograms** ([`hist`]) — fixed-size, lock-free power-of-two
+//!   latency histograms: the daemon's per-request telemetry and
+//!   `loadgen`'s latency summary.
 //! * **Exporters** ([`manifest`], [`chrome`]) — a deterministic JSON-lines
 //!   run manifest and a Chrome trace-event document for
 //!   `chrome://tracing` / Perfetto.
@@ -20,11 +23,13 @@
 //! `obs-check` validator share.
 
 pub mod chrome;
+pub mod hist;
 pub mod json;
 pub mod manifest;
 pub mod span;
 pub mod tape;
 
+pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use span::{AttrValue, Recorder, SpanRecord, SpanScope};
 pub use tape::{Tape, TapeSample, TierTapeSample};

@@ -18,19 +18,17 @@ pub const SCHEMA: &str = "camp-obs/1";
 
 /// Fixed ordering rank for the span taxonomy; unknown categories sort
 /// last (alphabetically by name within a rank). The first block is the
-/// repro-sweep taxonomy; `serve`/`conn`/`request` are the serving-layer
-/// taxonomy (`camp-serve` manifests: one `serve` root, a `conn` span per
-/// accepted connection, a `request` span per frame handled).
+/// repro-sweep taxonomy; `serve` is the serving layer's root (`camp-serve`
+/// manifests hold one `serve` root, its `calibration` spans and `anomaly`
+/// events — per-request telemetry lives in the meta record's histograms).
 fn category_rank(category: &str) -> u32 {
     match category {
         "sweep" | "serve" => 0,
         "experiment" => 1,
         "calibration" => 2,
         "run" => 3,
-        "conn" => 4,
-        "request" => 5,
-        "anomaly" => 6,
-        _ => 7,
+        "anomaly" => 4,
+        _ => 5,
     }
 }
 
@@ -44,8 +42,8 @@ fn attrs_to_json(attrs: &[(&'static str, AttrValue)]) -> Json {
 /// with per-span timings.
 pub fn render(
     tool: &str,
-    meta: Vec<(&'static str, AttrValue)>,
-    timing_meta: Vec<(&'static str, AttrValue)>,
+    meta: Vec<(&'static str, Json)>,
+    timing_meta: Vec<(&'static str, Json)>,
     recorder: &Recorder,
 ) -> String {
     let records = sorted_records(recorder);
@@ -57,10 +55,10 @@ pub fn render(
         ("schema".to_string(), Json::from(SCHEMA)),
         ("tool".to_string(), Json::from(tool)),
     ];
-    meta_members.extend(meta.iter().map(|(k, v)| (k.to_string(), v.to_json())));
+    meta_members.extend(meta.into_iter().map(|(k, v)| (k.to_string(), v)));
     meta_members.push(("spans".to_string(), Json::from(spans as u64)));
     meta_members.push(("events".to_string(), Json::from(events as u64)));
-    meta_members.push(("t".to_string(), attrs_to_json(&timing_meta)));
+    meta_members.push(("t".to_string(), Json::obj(timing_meta)));
 
     let mut out = Json::Obj(meta_members).render();
     out.push('\n');

@@ -36,6 +36,9 @@ impl Client {
     /// Connects, optionally with a socket read/write timeout.
     pub fn connect(addr: SocketAddr, timeout: Option<Duration>) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?;
+        // Requests leave in one write each; send them without waiting for
+        // the previous answer's ACK.
+        stream.set_nodelay(true).map_err(|e| ClientError::Io(e.to_string()))?;
         stream.set_read_timeout(timeout).map_err(|e| ClientError::Io(e.to_string()))?;
         stream.set_write_timeout(timeout).map_err(|e| ClientError::Io(e.to_string()))?;
         let reader = stream.try_clone().map_err(|e| ClientError::Io(e.to_string()))?;

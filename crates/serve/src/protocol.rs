@@ -20,6 +20,7 @@
 
 use camp_core::{Signature, SlowdownPrediction};
 use camp_obs::json::{self, Json};
+use camp_obs::HistogramSnapshot;
 use camp_sim::{DeviceKind, Platform};
 use std::io::{BufRead, Write};
 
@@ -144,9 +145,19 @@ pub fn read_frame_until(
 }
 
 /// Writes one frame (length header + body) and flushes.
+///
+/// Header and body go to `writer` in a single `write_all`, so a
+/// `BufWriter` hands the socket one write per frame. Written separately,
+/// a body larger than the `BufWriter` would leave the header as its own
+/// small TCP segment, and Nagle's algorithm would hold the body back until
+/// the peer's delayed ACK (~40 ms each way).
 pub fn write_frame(writer: &mut impl Write, body: &str) -> std::io::Result<()> {
-    writer.write_all(format!("{}\n", body.len()).as_bytes())?;
-    writer.write_all(body.as_bytes())?;
+    let header = body.len().to_string();
+    let mut frame = Vec::with_capacity(header.len() + 1 + body.len());
+    frame.extend_from_slice(header.as_bytes());
+    frame.push(b'\n');
+    frame.extend_from_slice(body.as_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -305,6 +316,19 @@ impl ErrorCode {
     }
 }
 
+/// Outcomes the daemon keeps a request-latency histogram for, in wire
+/// order: `ok` plus the wire name of every [`ErrorCode`] a worker answers
+/// with. (`overloaded` answers come from the accept thread before any
+/// request is read; [`StatsSnapshot::shed`] counts them.)
+pub const OUTCOMES: [&str; 6] = [
+    "ok",
+    "bad-request",
+    "model",
+    "deadline",
+    "uncalibrated",
+    "shutting-down",
+];
+
 /// Prediction for one (signature, device) pair: the §4 decomposition plus
 /// the Best-shot interleaving recommendation synthesized from the §5
 /// model.
@@ -352,8 +376,8 @@ impl DevicePrediction {
     }
 }
 
-/// Server counter snapshot (the `/stats` payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Server counter snapshot (the `stats` payload).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Connections accepted into the queue.
     pub accepted: u64,
@@ -375,6 +399,11 @@ pub struct StatsSnapshot {
     pub calibrations: u64,
     /// Microseconds since the server started.
     pub uptime_us: u64,
+    /// Request latency in microseconds (frame body in hand to answer
+    /// rendered), one histogram per outcome, indexed like [`OUTCOMES`].
+    /// Boxed: the histograms are ~3 KB, and every [`Response`] is as
+    /// large as its largest variant.
+    pub latency_us: Box<[HistogramSnapshot; OUTCOMES.len()]>,
 }
 
 impl StatsSnapshot {
@@ -395,9 +424,26 @@ impl StatsSnapshot {
         ]
     }
 
-    fn to_json(self) -> Json {
+    /// The latency histogram of `outcome` (one of [`OUTCOMES`]).
+    pub fn latency(&self, outcome: &str) -> Option<&HistogramSnapshot> {
+        OUTCOMES.iter().position(|&o| o == outcome).map(|i| &self.latency_us[i])
+    }
+
+    /// The per-outcome histograms as `{"ok": {..}, "bad-request": {..}, ..}`.
+    pub(crate) fn latency_json(&self) -> Json {
+        Json::obj(
+            OUTCOMES
+                .iter()
+                .zip(self.latency_us.iter())
+                .map(|(&o, h)| (o, h.to_json()))
+                .collect(),
+        )
+    }
+
+    fn to_json(&self) -> Json {
         let mut members = vec![("kind".to_string(), Json::from("stats"))];
         members.extend(self.fields().map(|(name, value)| (name.to_string(), Json::from(value))));
+        members.push(("latency_us".to_string(), self.latency_json()));
         Json::Obj(members)
     }
 
@@ -418,6 +464,13 @@ impl StatsSnapshot {
         snapshot.deadline_exceeded = field("deadline_exceeded")?;
         snapshot.calibrations = field("calibrations")?;
         snapshot.uptime_us = field("uptime_us")?;
+        for (outcome, histogram) in OUTCOMES.iter().zip(snapshot.latency_us.iter_mut()) {
+            let doc = doc
+                .get("latency_us")
+                .and_then(|l| l.get(outcome))
+                .ok_or_else(|| format!("stats response is missing histogram '{outcome}'"))?;
+            *histogram = HistogramSnapshot::from_json(doc)?;
+        }
         Ok(snapshot)
     }
 }
@@ -548,6 +601,39 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap(), None, "clean EOF");
     }
 
+    /// Counts the writes that reach it, as a socket would see them.
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_reaches_the_socket_in_one_write() {
+        // 100 B fits the BufWriter's 8 KiB buffer; 48 KB bypasses it. A
+        // split header + body would show up as two writes for the latter.
+        for len in [100, 48_000] {
+            let body = "x".repeat(len);
+            let mut writer =
+                std::io::BufWriter::new(CountingWrite { writes: 0, bytes: Vec::new() });
+            write_frame(&mut writer, &body).unwrap();
+            let inner = writer.into_inner().map_err(|e| e.to_string()).unwrap();
+            assert_eq!(inner.writes, 1, "{len}-byte body");
+            assert_eq!(inner.bytes, format!("{len}\n{body}").into_bytes());
+        }
+    }
+
     #[test]
     fn bad_headers_oversize_and_truncation_are_typed() {
         let mut reader = BufReader::new(&b"xyz\n{}"[..]);
@@ -640,6 +726,13 @@ mod tests {
             deadline_exceeded: 3,
             calibrations: 12,
             uptime_us: 99,
+            latency_us: Box::new(std::array::from_fn(|i| {
+                let histogram = camp_obs::Histogram::new();
+                for us in 0..i as u64 * 3 {
+                    histogram.record(us * 100);
+                }
+                histogram.snapshot()
+            })),
         });
         assert_eq!(Response::from_text(&stats.to_json().render()).unwrap(), stats);
         let error = Response::Error {

@@ -19,14 +19,19 @@
 //! flips a flag and self-connects to wake the accept loop; the accept
 //! thread stops, the queue drains, workers exit, and [`Server::join`]
 //! writes the run manifest.
+//!
+//! Telemetry is fixed-size: spans record only the lifecycle (`serve`),
+//! the calibrations and anomaly events. Each answered frame lands in one
+//! lock-free per-outcome latency histogram ([`crate::protocol::OUTCOMES`]),
+//! which `stats` reports live and the manifest's meta record sums up, so
+//! memory stays flat however many requests the daemon serves.
 
 use crate::protocol::{
     read_frame_until, write_frame, DevicePrediction, ErrorCode, FrameError, PredictRequest,
-    Request, Response, StatsSnapshot,
+    Request, Response, StatsSnapshot, OUTCOMES,
 };
 use camp_core::{best_shot, Calibration, CampPredictor, InterleaveModel};
-use camp_obs::span::AttrValue;
-use camp_obs::{manifest, Recorder};
+use camp_obs::{manifest, Histogram, Json, Recorder};
 use camp_sim::{DeviceKind, Platform};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
@@ -97,6 +102,23 @@ struct Counters {
     protocol_errors: AtomicU64,
     model_errors: AtomicU64,
     deadline_exceeded: AtomicU64,
+    /// Request latency per outcome, indexed like [`OUTCOMES`].
+    latency_us: [Histogram; OUTCOMES.len()],
+}
+
+impl Counters {
+    /// Files one answered frame under its outcome.
+    fn record(&self, response: &Response, since: Instant) {
+        let outcome = match response {
+            Response::Error { code, .. } => code.as_str(),
+            _ => "ok",
+        };
+        let index = OUTCOMES
+            .iter()
+            .position(|&o| o == outcome)
+            .expect("workers answer only with outcomes listed in OUTCOMES");
+        self.latency_us[index].record(since.elapsed().as_micros() as u64);
+    }
 }
 
 /// State shared by the accept thread and every worker.
@@ -124,6 +146,7 @@ impl Shared {
             deadline_exceeded: c.deadline_exceeded.load(Ordering::Relaxed),
             calibrations: self.predictors.len() as u64,
             uptime_us: self.started.elapsed().as_micros() as u64,
+            latency_us: Box::new(std::array::from_fn(|i| c.latency_us[i].snapshot())),
         }
     }
 }
@@ -202,6 +225,12 @@ impl Server {
         self.shared.snapshot()
     }
 
+    /// The daemon's span recorder: lifecycle, calibration and anomaly
+    /// records only, so its size does not grow with the request count.
+    pub fn recorder(&self) -> &Recorder {
+        &self.shared.recorder
+    }
+
     /// Requests a graceful shutdown: stop accepting, drain the queue,
     /// finish in-flight requests.
     pub fn shutdown(&self) {
@@ -221,16 +250,24 @@ impl Server {
         }
         let snapshot = self.shared.snapshot();
         if let Some(path) = &self.shared.config.manifest_out {
-            let meta: Vec<(&'static str, AttrValue)> = vec![
+            // Outcome counts are load-determined; latencies go under "t".
+            let outcomes = OUTCOMES
+                .iter()
+                .zip(snapshot.latency_us.iter())
+                .map(|(&outcome, histogram)| (outcome, histogram.count().into()))
+                .collect();
+            let meta = vec![
                 ("addr", self.shared.local_addr.to_string().into()),
                 ("calibrations", self.shared.predictors.len().into()),
                 ("requests", snapshot.requests.into()),
                 ("predictions", snapshot.predictions.into()),
                 ("shed", snapshot.shed.into()),
+                ("outcomes", Json::obj(outcomes)),
             ];
-            let timing: Vec<(&'static str, AttrValue)> = vec![
+            let timing = vec![
                 ("uptime_us", snapshot.uptime_us.into()),
                 ("workers", self.shared.config.workers.into()),
+                ("latency_us", snapshot.latency_json()),
             ];
             let text = manifest::render("camp-serve", meta, timing, &self.shared.recorder);
             std::fs::write(path, text)?;
@@ -299,10 +336,9 @@ fn worker_loop(shared: &Shared, receiver: &Mutex<Receiver<TcpStream>>) {
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
-    let conn_id = shared.counters.accepted.load(Ordering::Relaxed);
-    let mut conn_span = shared.recorder.scope_rooted("conn", format!("conn-{conn_id}"));
-    conn_span.attr("peer", peer);
+    // Answers leave in one write each (`write_frame`); don't let Nagle's
+    // algorithm hold one back waiting for an ACK.
+    let _ = stream.set_nodelay(true);
     // Idle-poll between frames so a worker parked on a persistent
     // connection notices the shutdown flag and drains within one tick.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -312,10 +348,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         Ok(stream) => BufReader::new(stream),
         Err(_) => return,
     };
-    let mut frames = 0u64;
     loop {
         let keep_waiting = || !shared.shutdown.load(Ordering::SeqCst);
-        let body = match read_frame_until(&mut reader, keep_waiting) {
+        let frame = read_frame_until(&mut reader, keep_waiting);
+        let start = Instant::now();
+        let body = match frame {
             Ok(Some(body)) => body,
             Ok(None) => break, // clean EOF
             Err(FrameError::Io(_)) => break,
@@ -323,56 +360,34 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 // Unframeable input: report and hang up — the stream
                 // offers no way back to a frame boundary.
                 shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                respond(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: error.to_string(),
-                    },
-                );
+                let response = Response::Error {
+                    code: ErrorCode::BadRequest,
+                    detail: error.to_string(),
+                };
+                respond(shared, &mut writer, &response, start);
                 break;
             }
         };
-        frames += 1;
-        let mut span = shared.recorder.scope("request", format!("conn-{conn_id}/frame-{frames}"));
         let response = match Request::from_text(&body) {
             Err(detail) => {
                 // A parseable frame with a bad payload: the framing is
                 // intact, so answer and keep the connection.
                 shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                span.attr("outcome", "bad-request");
                 Response::Error { code: ErrorCode::BadRequest, detail }
             }
             Ok(request) => {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 match request {
-                    Request::Stats => {
-                        span.attr("outcome", "stats");
-                        Response::Stats(shared.snapshot())
-                    }
+                    Request::Stats => Response::Stats(shared.snapshot()),
                     Request::Shutdown => {
-                        span.attr("outcome", "shutdown");
                         request_shutdown(shared);
                         Response::Ok
                     }
-                    Request::Predict(predict) => {
-                        let response = handle_predict(shared, &predict);
-                        span.attr(
-                            "outcome",
-                            match &response {
-                                Response::Predictions { .. } => "ok",
-                                Response::Error { code, .. } => code.as_str(),
-                                _ => "other",
-                            },
-                        );
-                        span.attr("signatures", predict.signatures.len());
-                        response
-                    }
+                    Request::Predict(predict) => handle_predict(shared, &predict),
                 }
             }
         };
-        drop(span);
-        if !respond(&mut writer, &response) {
+        if !respond(shared, &mut writer, &response, start) {
             break;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -381,9 +396,17 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Writes one response frame; false means the client is gone.
-fn respond(writer: &mut BufWriter<TcpStream>, response: &Response) -> bool {
-    write_frame(writer, &response.to_json().render()).is_ok()
+/// Renders one response, files its latency since `start` under its
+/// outcome, and writes it; false means the client is gone.
+fn respond(
+    shared: &Shared,
+    writer: &mut BufWriter<TcpStream>,
+    response: &Response,
+    start: Instant,
+) -> bool {
+    let body = response.to_json().render();
+    shared.counters.record(response, start);
+    write_frame(writer, &body).is_ok()
 }
 
 fn handle_predict(shared: &Shared, request: &PredictRequest) -> Response {

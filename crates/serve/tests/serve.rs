@@ -332,7 +332,16 @@ fn wire_shutdown_drains_and_writes_a_valid_manifest() {
 
     let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
     let summary = camp_obs::manifest::validate(&text).expect("manifest validates");
-    assert!(summary.spans >= 4, "serve root, calibrations, conn, request spans: {summary:?}");
+    assert_eq!(summary.spans, 3, "serve root and two calibrations, no per-request spans");
+    // The meta record sums the per-outcome histograms: all three frames
+    // answered ok, and their latencies sit under the timing member.
+    let meta = camp_obs::json::parse(text.lines().next().expect("meta")).expect("json");
+    let outcomes = meta.get("outcomes").expect("outcome counts");
+    assert_eq!(outcomes.get("ok").and_then(camp_obs::Json::as_u64), Some(3));
+    assert_eq!(outcomes.get("bad-request").and_then(camp_obs::Json::as_u64), Some(0));
+    let ok = meta.get("t").and_then(|t| t.get("latency_us")).and_then(|l| l.get("ok"));
+    let ok = camp_obs::HistogramSnapshot::from_json(ok.expect("ok histogram")).expect("decodes");
+    assert_eq!(ok.count(), 3);
     std::fs::remove_file(&manifest_path).ok();
 
     // New connections after the drain are refused (or reset) — the
@@ -344,6 +353,76 @@ fn wire_shutdown_drains_and_writes_a_valid_manifest() {
                 .is_err(),
         "server must stop answering after shutdown"
     );
+}
+
+#[test]
+fn stats_report_per_outcome_latency_histograms() {
+    let server = Server::start(test_config()).expect("start");
+    let mut client = connect(&server);
+    for id in 0..5 {
+        assert!(matches!(client.predict(predict_request(id)), Ok(Response::Predictions { .. })));
+    }
+    let skx = PredictRequest { platform: Platform::Skx2s, ..predict_request(9) };
+    assert!(matches!(
+        client.predict(skx),
+        Ok(Response::Error { code: ErrorCode::Uncalibrated, .. })
+    ));
+    let stats = client.stats().expect("stats");
+    let count = |outcome: &str| stats.latency(outcome).expect("listed outcome").count();
+    assert_eq!(count("ok"), 5, "the stats request itself is not yet filed");
+    assert_eq!(count("uncalibrated"), 1);
+    assert_eq!(count("model") + count("deadline") + count("bad-request"), 0);
+    assert!(stats.latency("overloaded").is_none(), "shed answers are counted in `shed`");
+    server.shutdown();
+    server.join().expect("join");
+}
+
+/// 64 signatures, as in a bulk client's batch.
+fn bulk_request(id: u64) -> PredictRequest {
+    PredictRequest {
+        signatures: (0..64)
+            .map(|i| Signature { latency: 200.0 + i as f64, ..signature() })
+            .collect(),
+        ..predict_request(id)
+    }
+}
+
+#[test]
+fn bulk_round_trips_do_not_stall_on_acks() {
+    // Both frames of a 64-signature round trip exceed a BufWriter's 8 KiB.
+    // Were the header written apart from the body, each direction would
+    // wait out a delayed ACK (~40 ms), >= 1.6 s for 20 round trips.
+    let server = Server::start(test_config()).expect("start");
+    let mut client = connect(&server);
+    let start = std::time::Instant::now();
+    for id in 0..20 {
+        assert!(matches!(client.predict(bulk_request(id)), Ok(Response::Predictions { .. })));
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_millis(800), "20 bulk round trips took {elapsed:?}");
+    server.shutdown();
+    server.join().expect("join");
+}
+
+#[test]
+fn span_log_does_not_grow_with_requests() {
+    let server = Server::start(test_config()).expect("start");
+    let mut client = connect(&server);
+    let mut serve = |requests: u64| {
+        for id in 0..requests {
+            assert!(matches!(
+                client.predict(predict_request(id)),
+                Ok(Response::Predictions { .. })
+            ));
+        }
+    };
+    serve(1_000);
+    let after_1k = server.recorder().len();
+    serve(9_000);
+    assert_eq!(server.recorder().len(), after_1k, "records after 1 000 vs 10 000 requests");
+    assert_eq!(server.stats().latency("ok").expect("ok").count(), 10_000);
+    server.shutdown();
+    server.join().expect("join");
 }
 
 /// Recovers the bound address from the manifest meta line.
