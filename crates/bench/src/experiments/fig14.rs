@@ -26,8 +26,11 @@ pub fn run(ctx: &Context) -> Vec<Table> {
     );
     let mut all_errors: Vec<f64> = Vec::new();
     for workload in camp_workloads::interleaving_workloads() {
-        let model = InterleaveModel::profile(PLATFORM, DEVICE, &workload, &predictor, DEFAULT_TAU);
-        let (baseline, points) = sweep(&workload, SWEEP_STEPS);
+        // One shared trace feeds the profiling runs, the sweep and the
+        // run at the predicted ratio.
+        let traced = ctx.traces().wrap(workload.as_ref());
+        let model = InterleaveModel::profile(PLATFORM, DEVICE, &traced, &predictor, DEFAULT_TAU);
+        let (baseline, points) = sweep(&traced, SWEEP_STEPS);
         // (a) misprediction across the sweep.
         for (x, report) in &points {
             let predicted = model.predict_total(*x);
@@ -40,7 +43,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
             .iter()
             .min_by(|a, b| a.1.cycles.partial_cmp(&b.1.cycles).expect("finite"))
             .expect("sweep non-empty");
-        let at_pred = Machine::interleaved(PLATFORM, DEVICE, choice.ratio).run(&workload);
+        let at_pred = Machine::interleaved(PLATFORM, DEVICE, choice.ratio).run(&traced);
         let perf_pred = baseline.cycles / at_pred.cycles;
         let perf_oracle = baseline.cycles / oracle.1.cycles;
         per_workload.row(&[

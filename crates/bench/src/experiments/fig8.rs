@@ -55,8 +55,9 @@ impl Workload for Phased {
 /// slowdown of the matching instruction range on the slow run.
 fn time_series(ctx: &Context, workload: &dyn Workload, label: &str, tables: &mut Vec<Table>) {
     let predictor = ctx.predictor(PLATFORM, DEVICE);
-    let dram = Machine::dram_only(PLATFORM).with_epochs(EPOCH_CYCLES).run(workload);
-    let slow = Machine::slow_only(PLATFORM, DEVICE).with_epochs(EPOCH_CYCLES).run(workload);
+    let traced = ctx.traces().wrap(workload);
+    let dram = Machine::dram_only(PLATFORM).with_epochs(EPOCH_CYCLES).run(&traced);
+    let slow = Machine::slow_only(PLATFORM, DEVICE).with_epochs(EPOCH_CYCLES).run(&traced);
     let slow_curve = cumulative(&slow.epochs);
 
     let mut table = Table::new(

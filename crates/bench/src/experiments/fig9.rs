@@ -24,7 +24,9 @@ pub const DEVICE: DeviceKind = DeviceKind::CxlA;
 pub const SWEEP_STEPS: usize = 20;
 
 /// Runs the ratio sweep for one workload, returning
-/// `(x, interleaved report)` pairs plus the DRAM baseline.
+/// `(x, interleaved report)` pairs plus the DRAM baseline. Pass a workload
+/// wrapped by [`camp_sim::TraceCache::wrap`] so the baseline and every
+/// ratio share one generated trace.
 pub fn sweep(workload: &dyn Workload, steps: usize) -> (RunReport, Vec<(f64, RunReport)>) {
     let baseline = Machine::dram_only(PLATFORM).run(workload);
     let sweep = (0..=steps)
@@ -38,7 +40,7 @@ pub fn sweep(workload: &dyn Workload, steps: usize) -> (RunReport, Vec<(f64, Run
 }
 
 /// Runs Figure 9.
-pub fn run(_ctx: &Context) -> Vec<Table> {
+pub fn run(ctx: &Context) -> Vec<Table> {
     let names = [
         "spec.649.fotonik3d-8t",
         "spec.654.roms-8t",
@@ -48,7 +50,7 @@ pub fn run(_ctx: &Context) -> Vec<Table> {
     let mut tables = Vec::new();
     for name in names {
         let workload = camp_workloads::find(name).expect("figure 9 workload in suite");
-        let (baseline, points) = sweep(&workload, SWEEP_STEPS);
+        let (baseline, points) = sweep(&ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
         let mut table = Table::new(
             format!("Figure 9: per-component slowdown vs ratio ({name})"),
             &["dram_fraction", "S_DRd", "S_Cache", "S_Store", "S_total"],
@@ -69,11 +71,11 @@ pub fn run(_ctx: &Context) -> Vec<Table> {
 }
 
 /// Runs Figure 10: MLP and ΔC-based `S_DRd` across ratios for bwaves.
-pub fn run_fig10(_ctx: &Context) -> Vec<Table> {
+pub fn run_fig10(ctx: &Context) -> Vec<Table> {
     let mut tables = Vec::new();
     for name in ["spec.603.bwaves-2t", "spec.603.bwaves-8t"] {
         let workload = camp_workloads::find(name).expect("bwaves in suite");
-        let (baseline, points) = sweep(&workload, SWEEP_STEPS);
+        let (baseline, points) = sweep(&ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
         let base_sig = Signature::from_report(&baseline);
         let mut table = Table::new(
             format!("Figure 10: MLP invariance and ΔC estimate ({name})"),
@@ -93,11 +95,11 @@ pub fn run_fig10(_ctx: &Context) -> Vec<Table> {
 }
 
 /// Runs Figure 11: per-tier loaded latencies and total slowdown.
-pub fn run_fig11(_ctx: &Context) -> Vec<Table> {
+pub fn run_fig11(ctx: &Context) -> Vec<Table> {
     let mut tables = Vec::new();
     for name in ["spec.603.bwaves-2t", "spec.603.bwaves-8t"] {
         let workload = camp_workloads::find(name).expect("bwaves in suite");
-        let (baseline, points) = sweep(&workload, SWEEP_STEPS);
+        let (baseline, points) = sweep(&ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
         let mut table = Table::new(
             format!("Figure 11: tier latencies and slowdown ({name})"),
             &["dram_fraction", "L_dram", "L_cxl", "slowdown"],

@@ -12,45 +12,30 @@
 use crate::par;
 use camp_core::{Calibration, CampPredictor};
 use camp_obs::Recorder;
+use camp_sim::memo::Memo;
 use camp_sim::{DeviceKind, Machine, Platform, RunReport, TraceCache, Workload};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Cache key for one endpoint run: platform, slow device (`None` = DRAM
 /// only), workload name.
 type RunKey = (Platform, Option<DeviceKind>, String);
 
-/// A single-flight memo cell: the first requester initialises it, later
-/// requesters either hit the filled cell or block until it fills.
-type Cell<T> = Arc<OnceLock<Arc<T>>>;
-
-/// Number of independent lock shards for the run cache. Endpoint runs are
-/// requested by many threads at once; sharding keeps the map locks off the
-/// hot path (each lock is held only to clone an `Arc`, never to simulate).
-const RUN_SHARDS: usize = 16;
-
 /// Memoising experiment context, shareable across threads.
 pub struct Context {
-    runs: [Mutex<HashMap<RunKey, Cell<RunReport>>>; RUN_SHARDS],
-    calibrations: Mutex<HashMap<(Platform, DeviceKind), Cell<Calibration>>>,
+    runs: Memo<RunKey, RunReport>,
+    calibrations: Memo<(Platform, DeviceKind), Calibration>,
     traces: TraceCache,
     obs: Recorder,
-    executed: AtomicUsize,
-    requested: AtomicUsize,
     jobs: usize,
 }
 
 impl Default for Context {
     fn default() -> Self {
         Context {
-            runs: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            calibrations: Mutex::new(HashMap::new()),
+            runs: Memo::default(),
+            calibrations: Memo::default(),
             traces: TraceCache::new(),
             obs: Recorder::new(),
-            executed: AtomicUsize::new(0),
-            requested: AtomicUsize::new(0),
             jobs: par::default_jobs(),
         }
     }
@@ -75,27 +60,11 @@ impl Context {
         self.jobs
     }
 
-    /// The single-flight cell for `key`, creating it if absent. The shard
-    /// lock is held only for the map lookup, never while simulating.
-    ///
-    /// A poisoned shard is recovered, not propagated: the lock only ever
-    /// guards the map structure (entries are `Arc`-cloned out before any
-    /// simulation), so a panic on another thread cannot leave the map in a
-    /// torn state — and one failed experiment must not take the cache down
-    /// for the rest of a sweep.
-    fn run_cell(&self, key: &RunKey) -> Cell<RunReport> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = (hasher.finish() as usize) % RUN_SHARDS;
-        let mut map = self.runs[shard].lock().unwrap_or_else(|poison| poison.into_inner());
-        Arc::clone(map.entry(key.clone()).or_default())
-    }
-
     /// Runs (or recalls) `workload` on `platform`, entirely on DRAM
     /// (`device = None`) or entirely on the given slow tier.
     ///
     /// Concurrent calls with the same key are single-flight: exactly one
-    /// thread simulates, the rest block on the memo cell and share the
+    /// thread simulates, the rest block on the [`Memo`] and share the
     /// result.
     ///
     /// # Panics
@@ -103,19 +72,16 @@ impl Context {
     /// Panics if the simulation rejects the configuration or dies mid-run;
     /// the payload is enriched to name the platform, device, and workload,
     /// so a failure surfacing through a parallel sweep is attributable. A
-    /// panicking initialiser leaves the memo cell empty (not wedged): later
-    /// requests for the same key retry, and other keys are unaffected.
+    /// failed run leaves its memo entry empty (not wedged): later requests
+    /// for the same key retry, and other keys are unaffected.
     pub fn run(
         &self,
         platform: Platform,
         device: Option<DeviceKind>,
         workload: &dyn Workload,
     ) -> Arc<RunReport> {
-        self.requested.fetch_add(1, Ordering::Relaxed);
         let key = (platform, device, workload.name().to_string());
-        let cell = self.run_cell(&key);
-        Arc::clone(cell.get_or_init(|| {
-            self.executed.fetch_add(1, Ordering::Relaxed);
+        self.runs.get_or_compute(&key, || {
             let device_label = match device {
                 None => "dram-only".to_string(),
                 Some(kind) => kind.to_string(),
@@ -140,7 +106,7 @@ impl Context {
                     span.attr("instructions", report.instructions);
                     span.attr("seconds", report.seconds);
                     self.note_report_anomalies(&span_name, &report);
-                    Arc::new(report)
+                    report
                 }
                 Err(payload) => {
                     span.attr("ok", false);
@@ -152,7 +118,7 @@ impl Context {
                     );
                 }
             }
-        }))
+        })
     }
 
     /// Flags degenerate reports on the span layer. A non-positive duration
@@ -219,21 +185,14 @@ impl Context {
     /// Fits (or recalls) the calibration for a (platform, device) pair.
     /// Single-flight, like [`Context::run`].
     pub fn calibration(&self, platform: Platform, device: DeviceKind) -> Arc<Calibration> {
-        let cell = {
-            let mut map = self.calibrations.lock().unwrap_or_else(|poison| poison.into_inner());
-            Arc::clone(map.entry((platform, device)).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| {
+        self.calibrations.get_or_compute(&(platform, device), || {
             // Rooted for the same reason as run spans: the single-flight
             // winner must not decide the span's place in the tree.
             let _span = self.obs.scope_rooted("calibration", format!("{platform}/{device}"));
-            match Calibration::try_fit(platform, device) {
-                Ok(calibration) => Arc::new(calibration),
-                Err(error) => {
-                    panic!("calibration failed (platform {platform}, device {device}): {error}")
-                }
-            }
-        }))
+            Calibration::try_fit(platform, device).unwrap_or_else(|error| {
+                panic!("calibration failed (platform {platform}, device {device}): {error}")
+            })
+        })
     }
 
     /// Convenience: a predictor for a (platform, device) pair.
@@ -243,18 +202,18 @@ impl Context {
 
     /// Number of simulation runs executed (not merely recalled) so far.
     pub fn runs_executed(&self) -> usize {
-        self.executed.load(Ordering::Relaxed)
+        self.runs.computed()
     }
 
     /// Number of [`Context::run`] requests so far (executions plus cache
     /// hits).
     pub fn runs_requested(&self) -> usize {
-        self.requested.load(Ordering::Relaxed)
+        self.runs.requests()
     }
 
     /// Number of run requests served from the memo cache.
     pub fn cache_hits(&self) -> usize {
-        self.runs_requested().saturating_sub(self.runs_executed())
+        self.runs.hits()
     }
 
     /// The span recorder every experiment, run, and calibration reports

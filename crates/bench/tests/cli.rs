@@ -112,6 +112,17 @@ fn injected_failure_is_isolated_in_serial_mode_too() {
 }
 
 #[test]
+fn trace_stats_list_the_cached_traces_and_their_totals() {
+    let output = repro_with_inject(&["fail-inject", "--trace-stats", "--no-archive"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("inject.fail-probe"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("trace cache: 1 traces generated, 0 hits / 1 requests"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn without_injection_the_fail_experiment_is_absent() {
     let output = repro(&["fail-inject", "--no-archive"]);
     assert!(!output.status.success());

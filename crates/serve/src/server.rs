@@ -283,6 +283,11 @@ fn request_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.local_addr);
 }
 
+/// Shed connections that each leave an `anomaly/load-shed` event. Later
+/// ones are only counted (`stats.shed`, the manifest meta), so a long
+/// overload cannot grow the span log without bound.
+pub const SHED_EVENTS: u64 = 16;
+
 fn accept_loop(shared: &Shared, listener: &TcpListener, sender: &SyncSender<TcpStream>) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -299,12 +304,14 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, sender: &SyncSender<TcpS
             Err(TrySendError::Full(stream)) => {
                 // Shed: answer in the accept thread so the client learns
                 // immediately, never stalling behind the busy workers.
-                shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                shared.recorder.event(
-                    "anomaly",
-                    "load-shed",
-                    vec![("queue_depth", (shared.config.queue_depth as u64).into())],
-                );
+                let shed_before = shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+                if shed_before < SHED_EVENTS {
+                    shared.recorder.event(
+                        "anomaly",
+                        "load-shed",
+                        vec![("queue_depth", (shared.config.queue_depth as u64).into())],
+                    );
+                }
                 let error = Response::Error {
                     code: ErrorCode::Overloaded,
                     detail: format!(

@@ -9,6 +9,7 @@
 
 use camp_core::stats::Hyperbola;
 use camp_core::{Calibration, Signature};
+use camp_serve::server::SHED_EVENTS;
 use camp_serve::{Client, ErrorCode, PredictRequest, Request, Response, ServeConfig, Server};
 use camp_sim::{DeviceKind, Platform};
 use std::io::{Read, Write};
@@ -279,6 +280,46 @@ fn full_queues_shed_with_an_overloaded_answer() {
     let stats = server.stats();
     assert_eq!(stats.shed, 1);
     assert_eq!(stats.completed, 2);
+    server.shutdown();
+    server.join().expect("join");
+}
+
+#[test]
+fn load_shed_events_are_capped_but_every_shed_is_counted() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        test_delay: Some(Duration::from_millis(1_000)),
+        ..test_config()
+    };
+    let server = Server::start(config).expect("start");
+    let mut a = connect(&server);
+    let a_handle = std::thread::spawn(move || a.predict(predict_request(1)));
+    wait_for(&server, |stats| stats.requests >= 1);
+    let mut b = connect(&server);
+    let b_handle = std::thread::spawn(move || b.predict(predict_request(2)));
+    wait_for(&server, |stats| stats.accepted >= 2);
+
+    // Every connection past the queue of one is shed while A holds the
+    // worker and B the queue slot.
+    let shed = SHED_EVENTS + 8;
+    for _ in 0..shed {
+        let mut client = connect(&server);
+        assert!(matches!(
+            client.read_response(),
+            Ok(Response::Error { code: ErrorCode::Overloaded, .. })
+        ));
+    }
+    assert!(matches!(a_handle.join().expect("a"), Ok(Response::Predictions { .. })));
+    assert!(matches!(b_handle.join().expect("b"), Ok(Response::Predictions { .. })));
+    assert_eq!(server.stats().shed, shed);
+    let events = server
+        .recorder()
+        .records()
+        .iter()
+        .filter(|r| r.category == "anomaly" && r.name == "load-shed")
+        .count();
+    assert_eq!(events as u64, SHED_EVENTS, "only the first sheds are logged");
     server.shutdown();
     server.join().expect("join");
 }

@@ -66,13 +66,15 @@ impl std::fmt::Display for Platform {
 impl std::str::FromStr for Platform {
     type Err = String;
 
-    /// Parses the paper's short display name (`"SKX2S"`, ...), case
-    /// insensitively — the inverse of [`Platform::name`], used by CLI
-    /// flags and the `camp-serve` wire protocol.
+    /// Parses the paper's short display name (`"SKX2S"`, ...) or the
+    /// same name without its `2S` suffix (`"skx"`), case insensitively —
+    /// the inverse of [`Platform::name`], used by CLI flags and the
+    /// `camp-serve` wire protocol.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let short = |p: Platform| p.name().strip_suffix("2S").unwrap_or(p.name());
         Platform::ALL
             .into_iter()
-            .find(|p| p.name().eq_ignore_ascii_case(s))
+            .find(|&p| p.name().eq_ignore_ascii_case(s) || short(p).eq_ignore_ascii_case(s))
             .ok_or_else(|| format!("unknown platform '{s}' (expected SKX2S, SPR2S, or EMR2S)"))
     }
 }
@@ -401,9 +403,10 @@ impl std::fmt::Display for DeviceKind {
 impl std::str::FromStr for DeviceKind {
     type Err = String;
 
-    /// Parses the display name (`"CXL-A"`, `"NUMA"`, ...), case
-    /// insensitively — the inverse of [`DeviceKind::name`], used by CLI
-    /// flags and the `camp-serve` wire protocol.
+    /// Parses the display name (`"CXL-A"`, `"NUMA"`, ...) or the same name
+    /// without its dash (`"cxla"`), case insensitively — the inverse of
+    /// [`DeviceKind::name`], used by CLI flags and the `camp-serve` wire
+    /// protocol.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         [
             DeviceKind::LocalDram,
@@ -413,7 +416,9 @@ impl std::str::FromStr for DeviceKind {
             DeviceKind::CxlC,
         ]
         .into_iter()
-        .find(|d| d.name().eq_ignore_ascii_case(s))
+        .find(|d| {
+            d.name().eq_ignore_ascii_case(s) || d.name().replace('-', "").eq_ignore_ascii_case(s)
+        })
         .ok_or_else(|| {
             format!("unknown device '{s}' (expected DRAM, NUMA, CXL-A, CXL-B, or CXL-C)")
         })
@@ -577,6 +582,30 @@ mod tests {
     fn display_names() {
         assert_eq!(Platform::Skx2s.to_string(), "SKX2S");
         assert_eq!(DeviceKind::CxlB.to_string(), "CXL-B");
+    }
+
+    #[test]
+    fn names_parse_with_and_without_their_suffix_or_dash() {
+        for platform in Platform::ALL {
+            assert_eq!(platform.name().parse(), Ok(platform));
+            assert_eq!(platform.name().to_lowercase().parse(), Ok(platform));
+        }
+        assert_eq!("skx".parse(), Ok(Platform::Skx2s));
+        assert_eq!("SPR".parse(), Ok(Platform::Spr2s));
+        assert_eq!("emr".parse(), Ok(Platform::Emr2s));
+        assert!("skx2".parse::<Platform>().is_err());
+        assert!("2s".parse::<Platform>().is_err());
+        for kind in DeviceKind::SLOW_TIERS {
+            assert_eq!(kind.name().parse(), Ok(kind));
+            assert_eq!(kind.name().to_lowercase().parse(), Ok(kind));
+        }
+        assert_eq!("cxla".parse(), Ok(DeviceKind::CxlA));
+        assert_eq!("CXLB".parse(), Ok(DeviceKind::CxlB));
+        assert_eq!("cxlc".parse(), Ok(DeviceKind::CxlC));
+        assert_eq!("dram".parse(), Ok(DeviceKind::LocalDram));
+        let error = "cxl-z".parse::<DeviceKind>().unwrap_err();
+        assert!(error.contains("unknown device 'cxl-z'"), "{error}");
+        assert!("cxl".parse::<DeviceKind>().is_err());
     }
 
     #[test]

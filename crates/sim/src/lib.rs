@@ -17,8 +17,8 @@
 //! - an out-of-order engine that attributes every exposed stall cycle to
 //!   the PMU counter a real machine would attribute it to ([`engine`]),
 //! - a compact packed op-trace layer with a single-flight cache
-//!   ([`optrace`]) so one generated op stream feeds every engine run and
-//!   every policy profiling pass.
+//!   ([`optrace`], on the generic [`memo::Memo`]) so one generated op
+//!   stream feeds every engine run and every policy profiling pass.
 //!
 //! Runs produce a [`RunReport`] holding the full Table 5 counter set, which
 //! the `camp-core` models consume exactly as they would consume `perf`
@@ -51,6 +51,7 @@ pub mod engine;
 pub mod error;
 pub mod inflight;
 pub mod mem;
+pub mod memo;
 pub mod op;
 pub mod optrace;
 pub mod placement;

@@ -12,17 +12,16 @@
 //!   over a flat slice instead of through a `Box<dyn Iterator>`;
 //! - [`OpTrace`] is an immutable packed stream, built once and shared via
 //!   `Arc` across engine runs, policies and threads;
-//! - [`TraceCache`] memoises traces with single-flight semantics (the same
-//!   pattern as the experiment harness's run cache): concurrent requests
-//!   for one workload generate it exactly once, the rest share the result.
+//! - [`TraceCache`] memoises traces on a single-flight [`Memo`] (the same
+//!   table as the experiment harness's run cache): concurrent requests for
+//!   one workload generate it exactly once, the rest share the result.
 //!
 //! Decoding is exact: every `Op` round-trips bit-identically, so a report
 //! produced from a trace equals one produced from the generator.
 
+use crate::memo::Memo;
 use crate::op::{Op, Workload};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A fixed-width 12-byte encoding of one [`Op`].
 ///
@@ -168,38 +167,17 @@ impl FromIterator<Op> for OpTrace {
 /// experiment harness builds one.
 type TraceKey = (String, u32, u64);
 
-/// A single-flight memo cell (first requester generates, the rest block
-/// until the cell fills, then share).
-type TraceCell = Arc<OnceLock<Arc<OpTrace>>>;
-
-/// Number of independent lock shards. Traces are requested by many worker
-/// threads at once; sharding keeps map-lock contention off the hot path
-/// (locks are held only to clone an `Arc`, never while generating).
-const TRACE_SHARDS: usize = 16;
-
-/// Thread-safe, sharded, single-flight trace cache.
+/// Thread-safe, single-flight trace cache.
 ///
-/// Mirrors the experiment harness's run cache: concurrent `trace` calls
-/// with the same workload generate the op stream exactly once; later calls
-/// (from any thread) are pure `Arc` clones. [`TraceCache::wrap`] adapts a
-/// workload so every consumer taking `&dyn Workload` — the engine, the
-/// tiering policies' profiling passes — transparently shares the cached
-/// trace.
-#[derive(Debug)]
+/// Like the experiment harness's run cache, it sits on a [`Memo`]:
+/// concurrent `trace` calls with the same workload generate the op stream
+/// exactly once; later calls (from any thread) are pure `Arc` clones.
+/// [`TraceCache::wrap`] adapts a workload so every consumer taking
+/// `&dyn Workload` — the engine, the tiering policies' profiling passes —
+/// transparently shares the cached trace.
+#[derive(Debug, Default)]
 pub struct TraceCache {
-    shards: [Mutex<HashMap<TraceKey, TraceCell>>; TRACE_SHARDS],
-    generated: AtomicUsize,
-    requests: AtomicUsize,
-}
-
-impl Default for TraceCache {
-    fn default() -> Self {
-        TraceCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            generated: AtomicUsize::new(0),
-            requests: AtomicUsize::new(0),
-        }
-    }
+    memo: Memo<TraceKey, OpTrace>,
 }
 
 impl TraceCache {
@@ -208,28 +186,14 @@ impl TraceCache {
         Self::default()
     }
 
-    fn cell(&self, key: &TraceKey) -> TraceCell {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = (hasher.finish() as usize) % TRACE_SHARDS;
-        let mut map = self.shards[shard].lock().expect("trace shard poisoned");
-        Arc::clone(map.entry(key.clone()).or_default())
-    }
-
     /// The trace for `workload`, generating it on first request.
     ///
     /// Single-flight: when several threads race on an absent entry,
-    /// exactly one runs the generator; the others block on the cell and
-    /// share the result.
+    /// exactly one runs the generator; the others block and share the
+    /// result.
     pub fn trace(&self, workload: &dyn Workload) -> Arc<OpTrace> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         let key = (workload.name().to_string(), workload.threads(), workload.footprint_bytes());
-        let cell = self.cell(&key);
-        Arc::clone(cell.get_or_init(|| {
-            self.generated.fetch_add(1, Ordering::Relaxed);
-            Arc::new(OpTrace::from_workload(workload))
-        }))
+        self.memo.get_or_compute(&key, || OpTrace::from_workload(workload))
     }
 
     /// Wraps `workload` so its [`Workload::trace`] (and [`Workload::ops`])
@@ -240,40 +204,34 @@ impl TraceCache {
 
     /// Number of traces generated (not merely recalled) so far.
     pub fn generated(&self) -> usize {
-        self.generated.load(Ordering::Relaxed)
+        self.memo.computed()
     }
 
     /// Total trace requests served.
     pub fn requests(&self) -> usize {
-        self.requests.load(Ordering::Relaxed)
+        self.memo.requests()
     }
 
-    /// Requests served from an already-filled cell.
+    /// Requests served from an already-generated trace.
     pub fn hits(&self) -> usize {
-        self.requests().saturating_sub(self.generated())
+        self.memo.hits()
     }
 
-    /// Per-workload statistics of every cached trace, sorted by name (for
-    /// deterministic reporting).
+    /// Per-workload statistics of every cached trace, sorted by name, then
+    /// thread count and size (for deterministic reporting).
     pub fn stats(&self) -> Vec<TraceStats> {
         let mut stats: Vec<TraceStats> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let map = shard.lock().expect("trace shard poisoned");
-                map.iter()
-                    .filter_map(|((name, threads, _), cell)| {
-                        cell.get().map(|trace| TraceStats {
-                            workload: name.clone(),
-                            threads: *threads,
-                            ops: trace.len(),
-                            packed_bytes: trace.packed_bytes(),
-                        })
-                    })
-                    .collect::<Vec<_>>()
+            .memo
+            .entries()
+            .into_iter()
+            .map(|((workload, threads, _), trace)| TraceStats {
+                workload,
+                threads,
+                ops: trace.len(),
+                packed_bytes: trace.packed_bytes(),
             })
             .collect();
-        stats.sort_by(|a, b| a.workload.cmp(&b.workload));
+        stats.sort();
         stats
     }
 
@@ -281,17 +239,10 @@ impl TraceCache {
     pub fn packed_bytes(&self) -> usize {
         self.stats().iter().map(|s| s.packed_bytes).sum()
     }
-
-    /// Drops every cached trace (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("trace shard poisoned").clear();
-        }
-    }
 }
 
 /// Per-workload cache statistics (see [`TraceCache::stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceStats {
     /// Workload name.
     pub workload: String,
@@ -348,6 +299,7 @@ impl Workload for CachedTrace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample_ops() -> Vec<Op> {
         vec![
@@ -470,20 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_traces_but_keeps_counters() {
-        let cache = TraceCache::new();
-        let w = Counting { name: "cleared", generated: AtomicUsize::new(0) };
-        let _ = cache.trace(&w);
-        assert_eq!(cache.stats().len(), 1);
-        assert!(cache.packed_bytes() > 0);
-        cache.clear();
-        assert!(cache.stats().is_empty());
-        assert_eq!(cache.generated(), 1);
-        let _ = cache.trace(&w);
-        assert_eq!(cache.generated(), 2, "cleared entries regenerate");
-    }
-
-    #[test]
     fn stats_report_name_threads_and_size() {
         let cache = TraceCache::new();
         let w = Counting { name: "stats", generated: AtomicUsize::new(0) };
@@ -494,24 +432,5 @@ mod tests {
         assert_eq!(stats[0].threads, 1);
         assert_eq!(stats[0].ops, 100);
         assert_eq!(stats[0].packed_bytes, 1200);
-    }
-
-    #[test]
-    fn concurrent_requests_generate_exactly_once() {
-        let cache = Arc::new(TraceCache::new());
-        let w = Arc::new(Counting { name: "racy", generated: AtomicUsize::new(0) });
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let cache = Arc::clone(&cache);
-                let w = Arc::clone(&w);
-                scope.spawn(move || {
-                    let trace = cache.trace(w.as_ref());
-                    assert_eq!(trace.len(), 100);
-                });
-            }
-        });
-        assert_eq!(w.generated.load(Ordering::Relaxed), 1, "single-flight");
-        assert_eq!(cache.generated(), 1);
-        assert_eq!(cache.requests(), 8);
     }
 }

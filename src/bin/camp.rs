@@ -35,23 +35,13 @@ fn parse(args: &[String], default_platform: Platform) -> Result<Options, String>
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--platform" => {
-                let value = iter.next().ok_or("--platform needs a value")?;
-                options.platform = match value.to_lowercase().as_str() {
-                    "skx" | "skx2s" => Platform::Skx2s,
-                    "spr" | "spr2s" => Platform::Spr2s,
-                    "emr" | "emr2s" => Platform::Emr2s,
-                    other => return Err(format!("unknown platform '{other}'")),
-                };
+                options.platform = iter.next().ok_or("--platform needs a value")?.parse()?;
             }
             "--device" => {
-                let value = iter.next().ok_or("--device needs a value")?;
-                options.device = match value.to_lowercase().as_str() {
-                    "numa" => DeviceKind::Numa,
-                    "cxl-a" | "cxla" => DeviceKind::CxlA,
-                    "cxl-b" | "cxlb" => DeviceKind::CxlB,
-                    "cxl-c" | "cxlc" => DeviceKind::CxlC,
-                    other => return Err(format!("unknown device '{other}'")),
-                };
+                options.device = iter.next().ok_or("--device needs a value")?.parse()?;
+                if options.device == DeviceKind::LocalDram {
+                    return Err("--device must name a slow tier, not DRAM".to_string());
+                }
             }
             "--validate" => options.validate = true,
             other if other.starts_with("--") => {

@@ -59,6 +59,27 @@ fn bad_platform_is_a_clean_error() {
 }
 
 #[test]
+fn documented_short_platform_and_device_names_parse() {
+    let output = camp(&[
+        "workloads",
+        "stream",
+        "--platform",
+        "skx",
+        "--device",
+        "cxla",
+    ]);
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    assert!(String::from_utf8_lossy(&output.stdout).contains("stream"));
+}
+
+#[test]
+fn bad_device_is_a_clean_error() {
+    let output = camp(&["workloads", "--device", "cxl-z"]);
+    assert!(!output.status.success());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown device"));
+}
+
+#[test]
 fn help_succeeds() {
     let output = camp(&["help"]);
     assert!(output.status.success());
