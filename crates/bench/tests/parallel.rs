@@ -3,7 +3,7 @@
 //! identical to serial runs, and each key must be simulated exactly once.
 
 use camp_bench::{par, Context};
-use camp_sim::{DeviceKind, Machine, Platform, Workload};
+use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
 use camp_workloads::kernels::{Gather, PointerChase, StreamKernel};
 
 fn fleet() -> Vec<Box<dyn Workload>> {
@@ -79,24 +79,35 @@ fn prefetch_then_serial_reads_are_pure_cache_hits() {
 
 #[test]
 fn cross_thread_runs_match_dedicated_threads() {
-    // The engine reuses thread-local scratch buffers across runs; a run on
-    // a "dirty" thread (scratch warmed by other workloads) must equal the
-    // same run on a fresh thread.
-    let workloads = fleet();
-    let machine = Machine::slow_only(Platform::Spr2s, DeviceKind::CxlB);
-    // Warm this thread's scratch with every workload, then re-run.
-    let warmed: Vec<_> = workloads.iter().map(|w| machine.run(w.as_ref())).collect();
-    let rerun: Vec<_> = workloads.iter().map(|w| machine.run(w.as_ref())).collect();
+    // The engine reuses thread-local scratch buffers across runs, the
+    // cache slot vectors among them. Their geometry changes from run to
+    // run with the platform's LLC (SKX2S 14 MB, EMR2S 160 MB, SPR2S
+    // 60 MB) and the workload's thread count (each thread's LLC share),
+    // so this thread's storage shrinks and regrows while holding stale
+    // dirty lines. A run on this "dirty" thread must equal the same run
+    // on a fresh thread.
+    let mut workloads = fleet();
+    workloads.push(Box::new(Gather::new("par-rmw-8t", 8, 1 << 18, 0, 50, 0, false, 8_000)));
+    let machines = [Platform::Skx2s, Platform::Emr2s, Platform::Spr2s]
+        .map(|platform| Machine::slow_only(platform, DeviceKind::CxlB));
+    // Alternate platforms run to run, and thread counts group to group.
+    let cases: Vec<(&Machine, &dyn Workload)> = workloads
+        .iter()
+        .flat_map(|w| machines.iter().map(move |m| (m, w.as_ref() as &dyn Workload)))
+        .collect();
+    let warmed: Vec<_> = cases.iter().map(|(m, w)| m.run(*w)).collect();
+    let rerun: Vec<_> = cases.iter().map(|(m, w)| m.run(*w)).collect();
+    let case = |report: &RunReport| format!("{} on {:?}", report.workload, report.platform);
     for (a, b) in warmed.iter().zip(&rerun) {
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.cycles, b.cycles, "{}", case(a));
+        assert_eq!(a.counters, b.counters, "{}", case(a));
     }
     // And against results computed on brand-new threads.
-    for (workload, reference) in workloads.iter().zip(&warmed) {
+    for ((machine, workload), reference) in cases.iter().zip(&warmed) {
         let fresh = std::thread::scope(|scope| {
-            scope.spawn(|| machine.run(workload.as_ref())).join().expect("no panic")
+            scope.spawn(|| machine.run(*workload)).join().expect("no panic")
         });
-        assert_eq!(fresh.cycles, reference.cycles);
-        assert_eq!(fresh.counters, reference.counters);
+        assert_eq!(fresh.cycles, reference.cycles, "{}", case(reference));
+        assert_eq!(fresh.counters, reference.counters, "{}", case(reference));
     }
 }

@@ -1,14 +1,28 @@
-//! Set-associative cache model with LRU replacement.
+//! Set-associative cache model.
 //!
 //! Tag-only simulation: the cache tracks which lines are present and dirty,
-//! not their data. Storage is two flat arrays (`tags`, `meta`) indexed by
-//! `set * ways + way`, which keeps even a 160 MB LLC model at ~25 MB of
-//! simulator memory and makes probes a short linear scan.
+//! not their data. Storage is one flat array of 8-byte slots indexed by
+//! `set * ways + way`, which keeps even a 160 MB LLC model at ~21 MB of
+//! simulator memory and makes probes a short linear scan of one contiguous
+//! set.
+//!
+//! Replacement: a line fills the first empty way of its set; a full set
+//! replaces its **last way**. Hits do not reorder the set. This is not LRU
+//! (a set holding A then B, with B just probed, evicts B for a new line),
+//! and every simulated number in the reproduction rests on exactly this
+//! rule.
 
 use crate::config::{CacheGeometry, LINE_BYTES};
 
-const FLAG_VALID: u8 = 0b01;
-const FLAG_DIRTY: u8 = 0b10;
+/// Slot bit: the slot holds a line.
+const VALID: u64 = 0b01;
+/// Slot bit: the held line is dirty.
+const DIRTY: u64 = 0b10;
+/// Slot bits that hold the line address. Line addresses are
+/// `LINE_BYTES`-aligned, so the low bits are free for the flags.
+const LINE_MASK: u64 = !(LINE_BYTES - 1);
+/// Slots per 4 KiB page: the granule [`Cache::reusing`] zeroes in.
+const PAGE_SLOTS: usize = 4096 / std::mem::size_of::<u64>();
 
 /// Result of inserting a line: the evicted victim, if any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +33,8 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-/// A set-associative, write-back, write-allocate cache with LRU replacement.
+/// A set-associative, write-back, write-allocate cache. A full set
+/// replaces its last way (see the [module docs](self)).
 ///
 /// Addresses given to the cache are *line* addresses (byte address with the
 /// low `log2(LINE_BYTES)` bits ignored).
@@ -44,12 +59,10 @@ pub struct Cache {
     geometry: CacheGeometry,
     sets: u64,
     ways: usize,
-    /// Tag per slot; meaning only when the corresponding meta is valid.
-    tags: Vec<u64>,
-    /// Validity/dirtiness flags per slot.
-    meta: Vec<u8>,
-    /// LRU rank per slot: 0 = most recently used.
-    lru: Vec<u8>,
+    /// One slot per way: the line address OR [`VALID`] OR [`DIRTY`];
+    /// 0 is an empty slot. Only the first `sets * ways` are this cache's;
+    /// a reused buffer may be longer.
+    slots: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -61,21 +74,49 @@ impl Cache {
     ///
     /// Panics if the geometry has zero ways or fewer lines than ways.
     pub fn new(geometry: CacheGeometry) -> Self {
+        Self::reusing(geometry, Vec::new())
+    }
+
+    /// Builds an empty cache in `slots`, a buffer from
+    /// [`into_slots`](Self::into_slots) of an earlier cache of any
+    /// geometry. Its contents are discarded; its memory is kept when large
+    /// enough, and only pages an earlier cache wrote are zeroed, so sets a
+    /// run never touches cost no resident memory.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn reusing(geometry: CacheGeometry, mut slots: Vec<u64>) -> Self {
         assert!(geometry.ways > 0, "cache must have at least one way");
         assert!(geometry.lines() >= geometry.ways as u64, "cache smaller than one set");
         assert!(geometry.ways <= 64, "associativity above 64 unsupported");
         let sets = geometry.sets();
-        let slots = (sets * geometry.ways as u64) as usize;
+        let len = (sets * geometry.ways as u64) as usize;
+        if slots.len() < len {
+            // Fresh zeroed pages from the allocator, mapped on first write.
+            slots = vec![0; len];
+        } else {
+            // Slots past `len` stay as they are: a later, larger cache
+            // clears them here before use.
+            for page in slots[..len].chunks_mut(PAGE_SLOTS) {
+                if page.iter().any(|&slot| slot != 0) {
+                    page.fill(0);
+                }
+            }
+        }
         Cache {
             geometry,
             sets,
             ways: geometry.ways as usize,
-            tags: vec![0; slots],
-            meta: vec![0; slots],
-            lru: vec![0; slots],
+            slots,
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Gives up the slot storage for reuse by [`reusing`](Self::reusing).
+    pub fn into_slots(self) -> Vec<u64> {
+        self.slots
     }
 
     /// The configured geometry.
@@ -88,121 +129,89 @@ impl Cache {
         self.geometry.hit_latency
     }
 
+    /// The set holding `line_addr`, and the slot value a valid copy of it
+    /// has once the dirty bit is masked off.
     #[inline]
-    fn set_of(&self, line_addr: u64) -> u64 {
-        (line_addr / LINE_BYTES) % self.sets
+    fn locate(&self, line_addr: u64) -> (usize, u64) {
+        let set = ((line_addr / LINE_BYTES) % self.sets) as usize;
+        (set * self.ways, (line_addr & LINE_MASK) | VALID)
     }
 
+    /// Way of `key` within the set starting at `base`.
     #[inline]
-    fn base(&self, set: u64) -> usize {
-        set as usize * self.ways
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        self.slots[base..base + self.ways].iter().position(|&slot| slot & !DIRTY == key)
     }
 
-    /// Probes for a line; updates LRU and hit/miss statistics.
+    /// Probes for a line; updates hit/miss statistics.
     pub fn probe(&mut self, line_addr: u64) -> bool {
-        let base = self.base(self.set_of(line_addr));
-        for way in 0..self.ways {
-            let slot = base + way;
-            if self.meta[slot] & FLAG_VALID != 0 && self.tags[slot] == line_addr {
-                self.touch(base, way);
-                self.hits += 1;
-                return true;
-            }
+        let (base, key) = self.locate(line_addr);
+        let hit = self.find(base, key).is_some();
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        false
+        hit
     }
 
-    /// Probes without disturbing LRU or statistics (used for ownership
-    /// checks that are not architectural accesses).
+    /// Probes without touching statistics (used for ownership checks that
+    /// are not architectural accesses).
     pub fn peek(&self, line_addr: u64) -> bool {
-        let base = self.base(self.set_of(line_addr));
-        (0..self.ways).any(|way| {
-            let slot = base + way;
-            self.meta[slot] & FLAG_VALID != 0 && self.tags[slot] == line_addr
-        })
+        let (base, key) = self.locate(line_addr);
+        self.find(base, key).is_some()
     }
 
     /// Marks an already-present line dirty; returns whether it was present.
     pub fn mark_dirty(&mut self, line_addr: u64) -> bool {
-        let base = self.base(self.set_of(line_addr));
-        for way in 0..self.ways {
-            let slot = base + way;
-            if self.meta[slot] & FLAG_VALID != 0 && self.tags[slot] == line_addr {
-                self.meta[slot] |= FLAG_DIRTY;
-                return true;
+        let (base, key) = self.locate(line_addr);
+        match self.find(base, key) {
+            Some(way) => {
+                self.slots[base + way] |= DIRTY;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    /// Inserts a line (write-allocate if `dirty`), evicting the LRU victim
-    /// of the set if necessary. Inserting an already-present line refreshes
-    /// its LRU position and ORs in dirtiness.
+    /// Inserts a line (write-allocate if `dirty`) into the first empty way
+    /// of its set, or else in place of the set's last way, which it
+    /// returns as the victim. Inserting an already-present line ORs in
+    /// dirtiness.
     pub fn insert(&mut self, line_addr: u64, dirty: bool) -> Option<Eviction> {
-        let base = self.base(self.set_of(line_addr));
-        let dirty_flag = if dirty { FLAG_DIRTY } else { 0 };
-        // Already present?
-        for way in 0..self.ways {
-            let slot = base + way;
-            if self.meta[slot] & FLAG_VALID != 0 && self.tags[slot] == line_addr {
-                self.meta[slot] |= dirty_flag;
-                self.touch(base, way);
-                return None;
-            }
+        let (base, key) = self.locate(line_addr);
+        let dirty_bit = if dirty { DIRTY } else { 0 };
+        if let Some(way) = self.find(base, key) {
+            self.slots[base + way] |= dirty_bit;
+            return None;
         }
-        // Free way?
-        for way in 0..self.ways {
-            let slot = base + way;
-            if self.meta[slot] & FLAG_VALID == 0 {
-                self.tags[slot] = line_addr;
-                self.meta[slot] = FLAG_VALID | dirty_flag;
-                self.touch(base, way);
-                return None;
-            }
+        let set = &mut self.slots[base..base + self.ways];
+        if let Some(slot) = set.iter_mut().find(|slot| **slot == 0) {
+            *slot = key | dirty_bit;
+            return None;
         }
-        // Evict the LRU way (highest rank).
-        let victim_way = (0..self.ways).max_by_key(|&w| self.lru[base + w]).expect("ways > 0");
-        let slot = base + victim_way;
+        let victim = set.last_mut().expect("ways > 0");
         let eviction = Eviction {
-            line_addr: self.tags[slot],
-            dirty: self.meta[slot] & FLAG_DIRTY != 0,
+            line_addr: *victim & LINE_MASK,
+            dirty: *victim & DIRTY != 0,
         };
-        self.tags[slot] = line_addr;
-        self.meta[slot] = FLAG_VALID | dirty_flag;
-        self.touch(base, victim_way);
+        *victim = key | dirty_bit;
         Some(eviction)
     }
 
     /// Invalidates a line if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let base = self.base(self.set_of(line_addr));
-        for way in 0..self.ways {
-            let slot = base + way;
-            if self.meta[slot] & FLAG_VALID != 0 && self.tags[slot] == line_addr {
-                let dirty = self.meta[slot] & FLAG_DIRTY != 0;
-                self.meta[slot] = 0;
-                return Some(dirty);
-            }
-        }
-        None
-    }
-
-    /// Moves `way` to MRU within its set.
-    fn touch(&mut self, base: usize, way: usize) {
-        let rank = self.lru[base + way];
-        for w in 0..self.ways {
-            let slot = base + w;
-            if self.lru[slot] < rank {
-                self.lru[slot] += 1;
-            }
-        }
-        self.lru[base + way] = 0;
+        let (base, key) = self.locate(line_addr);
+        let way = self.find(base, key)?;
+        let dirty = self.slots[base + way] & DIRTY != 0;
+        self.slots[base + way] = 0;
+        Some(dirty)
     }
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> u64 {
-        self.meta.iter().filter(|&&m| m & FLAG_VALID != 0).count() as u64
+        let len = self.sets as usize * self.ways;
+        self.slots[..len].iter().filter(|&&slot| slot != 0).count() as u64
     }
 
     /// (hits, misses) since construction.
@@ -246,6 +255,62 @@ mod tests {
         assert!(!ev.dirty);
         assert!(c.peek(line(0)));
         assert!(!c.peek(line(1)));
+    }
+
+    #[test]
+    fn full_set_replaces_its_last_way() {
+        // 2-way set: A, then B; probe B; C evicts B, not the
+        // least-recently-used A.
+        let mut c = tiny(2, 8); // 4 sets x 2 ways
+        let line = |i: u64| i * 4 * LINE_BYTES; // all in set 0
+        c.insert(line(0), false);
+        c.insert(line(1), false);
+        assert!(c.probe(line(1)));
+        let ev = c.insert(line(2), false).expect("must evict");
+        assert_eq!(ev.line_addr, line(1));
+        assert!(c.peek(line(0)));
+
+        // 4-way set holding A..D, then B, C, D probed: the next line
+        // evicts D.
+        let mut c = tiny(4, 16); // 4 sets x 4 ways
+        for i in 0..4 {
+            c.insert(line(i), false);
+        }
+        for i in 1..4 {
+            assert!(c.probe(line(i)));
+        }
+        let ev = c.insert(line(4), false).expect("must evict");
+        assert_eq!(ev.line_addr, line(3));
+        for i in [0, 1, 2, 4] {
+            assert!(c.peek(line(i)), "line {i} should remain");
+        }
+    }
+
+    #[test]
+    fn reused_slots_start_empty_at_the_new_geometry() {
+        let geometry = |lines: u64, ways: u32| CacheGeometry {
+            capacity_bytes: lines * LINE_BYTES,
+            ways,
+            hit_latency: 4,
+        };
+        // 1024 sets x 2 ways = 4 pages of slots; write only the back half.
+        let mut big = Cache::new(geometry(2048, 2));
+        for set in 600..1024 {
+            big.insert(set * LINE_BYTES, true);
+        }
+        let mut small = Cache::reusing(geometry(8, 2), big.into_slots());
+        assert_eq!(small.occupancy(), 0);
+        small.insert(0, true);
+        // Regrowing within the kept buffer clears the stale pages too.
+        let mut again = Cache::reusing(geometry(2048, 2), small.into_slots());
+        assert_eq!(again.occupancy(), 0);
+        assert_eq!(again.stats(), (0, 0));
+        for line in 0..2048 {
+            assert!(again.insert(line * LINE_BYTES, false).is_none(), "line {line} fits");
+        }
+        // Growing past the buffer allocates afresh.
+        let grown = Cache::reusing(geometry(4096, 4), again.into_slots());
+        assert_eq!(grown.occupancy(), 0);
     }
 
     #[test]

@@ -211,10 +211,11 @@ impl Machine {
 
     /// Runs a workload to completion and reports counters and statistics.
     ///
-    /// Hot-path buffers (fill slab, prefetch candidate lists, ROB history,
-    /// the MLP sweep heap) are reused across runs through a thread-local
-    /// scratch arena, so sweeping many workloads on one thread allocates
-    /// only once; runs on different threads are fully independent.
+    /// Hot-path buffers (cache slots, fill slab, prefetch candidate lists,
+    /// ROB history, the MLP sweep heap) are reused across runs through a
+    /// thread-local scratch arena, so sweeping many workloads on one
+    /// thread allocates only once; runs on different threads are fully
+    /// independent.
     ///
     /// # Panics
     ///
@@ -254,6 +255,13 @@ impl Machine {
 /// keeps capacity).
 #[derive(Debug, Default)]
 struct Scratch {
+    /// L1, L2 and L3 slot storage, lent to the run's caches
+    /// ([`Cache::reusing`]) and returned by `Engine::finish`. Geometry
+    /// varies with platform and LLC sharers, so each run re-fits them.
+    /// Freeing them instead would hand the allocator an LLC array (up to
+    /// ~21 MB on EMR2S) that its next `calloc` zeroes in place, making
+    /// every page resident.
+    cache_slots: [Vec<u64>; 3],
     fills: BinaryHeap<Reverse<(Time, u64)>>,
     fill_slab: Vec<Fill>,
     pf_candidates: Vec<u64>,
@@ -393,12 +401,13 @@ impl<'a> Engine<'a> {
         let slow = machine.slow_kind.map(|kind| {
             Device::new(kind.config_for(cfg.platform), cfg, slow_sharers, machine.slow_background)
         });
+        let [l1_slots, l2_slots, l3_slots] = std::mem::take(&mut scratch.cache_slots);
         Engine {
             cfg,
             counters: CounterSet::new(),
-            l1: Cache::new(cfg.l1),
-            l2: Cache::new(cfg.l2),
-            l3: Cache::new(l3_geometry),
+            l1: Cache::reusing(cfg.l1, l1_slots),
+            l2: Cache::reusing(cfg.l2, l2_slots),
+            l3: Cache::reusing(l3_geometry, l3_slots),
             lfb: InflightBuffer::new(cfg.lfb_entries as usize),
             sq: InflightBuffer::new(cfg.sq_entries as usize),
             uncore_pf: InflightBuffer::new(cfg.uncore_pf_entries as usize),
@@ -939,6 +948,11 @@ impl<'a> Engine<'a> {
             }
             Tape { period: tape.period, samples: tape.samples }
         });
+        self.scratch.cache_slots = [
+            self.l1.into_slots(),
+            self.l2.into_slots(),
+            self.l3.into_slots(),
+        ];
         let cfg = self.cfg;
         let fast_stats = *self.fast.stats();
         let slow_tier = self.slow.as_ref().map(|device| TierReport {

@@ -10,6 +10,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Total-ordered wrapper for non-NaN `f64` timestamps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,6 +58,35 @@ pub struct InflightEntry {
     pub wait_class: WaitClass,
 }
 
+/// Hasher for line-address keys: one multiply and a rotate. SipHash's
+/// flood resistance buys nothing here: a buffer holds at most its
+/// capacity of lines (at most 112 in every preset), so even colliding
+/// keys cost a scan of that many entries. [`InflightBuffer`] only
+/// iterates its map to count, so the order a hasher induces never
+/// reaches any output.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// The product's high bits depend on every key bit; rotate them down
+    /// into the bucket index so aligned and strided lines spread.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// A fixed-capacity miss-tracking buffer with per-line coalescing.
 ///
 /// Entries are keyed by line address; at most one entry per line exists at
@@ -77,7 +107,7 @@ pub struct InflightEntry {
 #[derive(Debug, Clone)]
 pub struct InflightBuffer {
     capacity: usize,
-    by_line: HashMap<u64, InflightEntry>,
+    by_line: HashMap<u64, InflightEntry, BuildHasherDefault<LineHasher>>,
     completions: BinaryHeap<Reverse<(Time, u64)>>,
     allocations: u64,
     peak_occupancy: usize,
@@ -93,7 +123,7 @@ impl InflightBuffer {
         assert!(capacity > 0, "buffer must have at least one entry");
         InflightBuffer {
             capacity,
-            by_line: HashMap::with_capacity(capacity * 2),
+            by_line: HashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             completions: BinaryHeap::with_capacity(capacity + 1),
             allocations: 0,
             peak_occupancy: 0,

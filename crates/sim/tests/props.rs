@@ -1,9 +1,10 @@
 //! Randomised property tests for the simulation substrate, driven by a
 //! deterministic SplitMix64 generator (no external test dependencies).
 
-use camp_sim::cache::Cache;
+use camp_sim::cache::{Cache, Eviction};
 use camp_sim::config::CacheGeometry;
 use camp_sim::engine::Machine;
+use camp_sim::inflight::{InflightBuffer, InflightEntry, WaitClass};
 use camp_sim::op::{Op, Workload};
 use camp_sim::placement::{Placement, PlacementState, TierId};
 use camp_sim::sweep::MlpSweep;
@@ -102,6 +103,212 @@ fn cache_capacity_is_an_invariant() {
             cache.insert(line * LINE_BYTES, line.is_multiple_of(2));
             assert!(cache.occupancy() <= 32, "seed {seed}");
             assert!(cache.peek(line * LINE_BYTES), "seed {seed}");
+        }
+    }
+}
+
+/// A naive model of the cache's replacement rule: per set, a `Vec` of
+/// ways holding `(line, dirty)`; a line fills the first empty way, a full
+/// set replaces its last way, hits reorder nothing, `invalidate` frees
+/// the way.
+struct NaiveCache {
+    sets: Vec<Vec<Option<(u64, bool)>>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl NaiveCache {
+    fn new(sets: usize, ways: usize) -> Self {
+        NaiveCache {
+            sets: vec![vec![None; ways]; sets],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&mut self, addr: u64) -> (&mut Vec<Option<(u64, bool)>>, u64) {
+        let count = self.sets.len() as u64;
+        (&mut self.sets[((addr / LINE_BYTES) % count) as usize], addr & !(LINE_BYTES - 1))
+    }
+
+    fn way(&mut self, addr: u64) -> Option<&mut (u64, bool)> {
+        let (set, line) = self.set(addr);
+        set.iter_mut().flatten().find(|(held, _)| *held == line)
+    }
+
+    fn probe(&mut self, addr: u64) -> bool {
+        let hit = self.way(addr).is_some();
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    fn mark_dirty(&mut self, addr: u64) -> bool {
+        self.way(addr).map(|(_, dirty)| *dirty = true).is_some()
+    }
+
+    fn insert(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
+        if let Some((_, held_dirty)) = self.way(addr) {
+            *held_dirty |= dirty;
+            return None;
+        }
+        let (set, line) = self.set(addr);
+        if let Some(way) = set.iter_mut().find(|way| way.is_none()) {
+            *way = Some((line, dirty));
+            return None;
+        }
+        let last = set.last_mut().expect("ways > 0");
+        let (line_addr, was_dirty) = last.replace((line, dirty)).expect("full set");
+        Some(Eviction { line_addr, dirty: was_dirty })
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<bool> {
+        let (set, line) = self.set(addr);
+        let way = set.iter_mut().find(|way| matches!(way, Some((held, _)) if *held == line))?;
+        way.take().map(|(_, dirty)| dirty)
+    }
+
+    fn occupancy(&self) -> u64 {
+        self.sets.iter().flatten().flatten().count() as u64
+    }
+}
+
+/// `Cache` agrees with the naive model op for op, on random geometries
+/// (including non-power-of-two set counts) and on addresses with random
+/// low bits, which must name the same line as the aligned address.
+#[test]
+fn cache_matches_a_naive_model_of_its_replacement_rule() {
+    for seed in 0..48u64 {
+        let mut rng = Rng(seed ^ 0xcace);
+        let ways = 1 + rng.below(16) as usize;
+        let sets = 1 + rng.below(12) as usize;
+        let mut cache = Cache::new(CacheGeometry {
+            capacity_bytes: (sets * ways) as u64 * LINE_BYTES,
+            ways: ways as u32,
+            hit_latency: 4,
+        });
+        let mut model = NaiveCache::new(sets, ways);
+        // Enough distinct lines to overflow every set a few times over.
+        let lines = (sets * ways * 3) as u64;
+        for step in 0..600 {
+            let addr = rng.below(lines) * LINE_BYTES + rng.below(LINE_BYTES);
+            let what = rng.below(6);
+            let context = format!("seed {seed} step {step} op {what} addr {addr:#x}");
+            match what {
+                0 | 1 => {
+                    let dirty = rng.below(3) == 0;
+                    assert_eq!(cache.insert(addr, dirty), model.insert(addr, dirty), "{context}");
+                }
+                2 => assert_eq!(cache.probe(addr), model.probe(addr), "{context}"),
+                3 => assert_eq!(cache.peek(addr), model.way(addr).is_some(), "{context}"),
+                4 => assert_eq!(cache.mark_dirty(addr), model.mark_dirty(addr), "{context}"),
+                _ => assert_eq!(cache.invalidate(addr), model.invalidate(addr), "{context}"),
+            }
+            assert_eq!(cache.occupancy(), model.occupancy(), "{context}");
+            assert_eq!(cache.stats(), (model.hits, model.misses), "{context}");
+        }
+    }
+}
+
+/// A naive model of an in-flight buffer: `(line, fill_time, class)`
+/// triples in a `Vec`; entries with `fill_time <= now` release; a full
+/// buffer frees its earliest fill, ties to the lowest line.
+struct NaiveInflight {
+    capacity: usize,
+    entries: Vec<(u64, f64, WaitClass)>,
+}
+
+impl NaiveInflight {
+    fn release_until(&mut self, now: f64) {
+        self.entries.retain(|&(_, fill, _)| fill > now);
+    }
+
+    fn lookup(&mut self, line: u64, now: f64) -> Option<InflightEntry> {
+        self.release_until(now);
+        self.entries
+            .iter()
+            .find(|&&(held, _, _)| held == line)
+            .map(|&(_, fill_time, wait_class)| InflightEntry { fill_time, wait_class })
+    }
+
+    fn occupancy(&mut self, now: f64) -> usize {
+        self.release_until(now);
+        self.entries.len()
+    }
+
+    fn acquire_slot_at(&mut self, now: f64) -> f64 {
+        self.release_until(now);
+        if self.entries.len() < self.capacity {
+            return now;
+        }
+        let earliest = (0..self.entries.len())
+            .min_by(|&a, &b| {
+                let (line_a, fill_a, _) = self.entries[a];
+                let (line_b, fill_b, _) = self.entries[b];
+                fill_a.total_cmp(&fill_b).then(line_a.cmp(&line_b))
+            })
+            .expect("full buffer has entries");
+        self.entries.swap_remove(earliest).1.max(now)
+    }
+}
+
+/// `InflightBuffer` agrees with the naive model on every query, with a
+/// clock that mostly advances but sometimes lags (as the engine's
+/// issue-time cursors do) and fill times on a coarse grid so ties occur.
+#[test]
+fn inflight_buffer_matches_a_naive_model() {
+    const CLASSES: [WaitClass; 5] = [
+        WaitClass::None,
+        WaitClass::DemandL2,
+        WaitClass::DemandL3,
+        WaitClass::DemandMem,
+        WaitClass::Prefetch,
+    ];
+    for seed in 0..48u64 {
+        let mut rng = Rng(seed ^ 0x1f1b);
+        let capacity = 1 + rng.below(24) as usize;
+        let mut buffer = InflightBuffer::new(capacity);
+        let mut model = NaiveInflight { capacity, entries: Vec::new() };
+        let mut clock = 0.0f64;
+        let mut allocations = 0u64;
+        let mut peak = 0usize;
+        for step in 0..800 {
+            clock += rng.below(8) as f64;
+            let now = if rng.below(5) == 0 { clock - rng.below(20) as f64 } else { clock };
+            let line = rng.below(capacity as u64 * 2) * LINE_BYTES;
+            let what = rng.below(6);
+            let context = format!("seed {seed} step {step} op {what} line {line:#x} now {now}");
+            match what {
+                0 | 1 => {
+                    let absent = model.entries.iter().all(|&(held, _, _)| held != line);
+                    if absent && model.entries.len() < capacity {
+                        let fill = now + 1.0 + rng.below(40) as f64;
+                        let class = CLASSES[rng.below(5) as usize];
+                        buffer.allocate(line, fill, class);
+                        model.entries.push((line, fill, class));
+                        allocations += 1;
+                        peak = peak.max(model.entries.len());
+                    }
+                }
+                2 => assert_eq!(buffer.lookup(line, now), model.lookup(line, now), "{context}"),
+                3 => {
+                    assert_eq!(buffer.acquire_slot_at(now), model.acquire_slot_at(now), "{context}")
+                }
+                4 => {
+                    let reserve = rng.below(4) as usize;
+                    let expected = model.occupancy(now) + reserve < capacity;
+                    assert_eq!(buffer.has_free(now, reserve), expected, "{context}");
+                }
+                _ => assert_eq!(buffer.occupancy(now), model.occupancy(now), "{context}"),
+            }
+            let probe = now + rng.below(30) as f64 - 10.0;
+            let live = model.entries.iter().filter(|&&(_, fill, _)| fill > probe).count();
+            assert_eq!(buffer.occupancy_at(probe), live, "{context} probe {probe}");
+            assert_eq!(buffer.allocations(), allocations, "{context}");
+            assert_eq!(buffer.peak_occupancy(), peak, "{context}");
         }
     }
 }
