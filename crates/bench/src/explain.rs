@@ -1,18 +1,18 @@
 //! `repro explain <workload>` — residual drill-down for one workload.
 //!
 //! The aggregate experiments report *that* a prediction missed; this
-//! module shows *where*. It samples the slow-tier run with the engine's
-//! epoch tape ([`camp_sim::Tape`]) and joins each DRAM epoch's analytical
-//! components (`S_DRd`/`S_Cache`/`S_Store`) with the tape sample covering
-//! the matching instruction range on the slow run: per-epoch LFB/SQ/SB
-//! occupancy, slow-tier loaded latency and queue depth, and the residual
-//! between predicted and measured slowdown. A drifting residual next to a
+//! module shows *where*. It samples both endpoint runs into epochs
+//! ([`camp_sim::Epoch`]) and joins each DRAM epoch's analytical
+//! components (`S_DRd`/`S_Cache`/`S_Store`) with the slow-run epoch
+//! covering the matching instruction range: its LFB/SQ/SB occupancy,
+//! slow-tier loaded latency and queue depth, and the residual between
+//! predicted and measured slowdown. A drifting residual next to a
 //! saturating queue-depth column is the §4.4.6 bandwidth story; one next
 //! to a full store buffer is an `S_Store` miss.
 
 use crate::harness::{fmt, Context, Table};
 use camp_pmu::Event;
-use camp_sim::{DeviceKind, Machine, Platform, TapeSample, Workload};
+use camp_sim::{DeviceKind, Epoch, Machine, Platform, Workload};
 
 /// Default platform for the drill-down (the paper's primary testbed).
 const PLATFORM: Platform = Platform::Spr2s;
@@ -22,7 +22,7 @@ const DEVICE: DeviceKind = DeviceKind::CxlA;
 const EPOCH_CYCLES: u64 = 200_000;
 
 /// Cumulative (instructions, cycles) curve from a sampled run.
-pub(crate) fn cumulative(epochs: &[camp_pmu::Epoch]) -> Vec<(f64, f64)> {
+pub(crate) fn cumulative(epochs: &[Epoch]) -> Vec<(f64, f64)> {
     let mut points = vec![(0.0, 0.0)];
     let (mut instructions, mut cycles) = (0.0, 0.0);
     for epoch in epochs {
@@ -67,9 +67,8 @@ pub fn report(ctx: &Context, workload: &dyn Workload) -> Vec<Table> {
 /// Runs the drill-down with explicit platform, device, and epoch period.
 ///
 /// Both endpoint runs are re-simulated here (not recalled from the
-/// context's cache) because the drill-down needs epoch sampling and the
-/// tape enabled; the calibration still comes from the shared single-flight
-/// cache.
+/// context's cache) because the drill-down needs epoch sampling; the
+/// calibration still comes from the shared single-flight cache.
 pub fn report_on(
     ctx: &Context,
     workload: &dyn Workload,
@@ -80,16 +79,13 @@ pub fn report_on(
     let predictor = ctx.predictor(platform, device);
     let traced = ctx.traces().wrap(workload);
     let dram = Machine::dram_only(platform).with_epochs(period).run(&traced);
-    let slow = Machine::slow_only(platform, device)
-        .with_epochs(period)
-        .with_tape(period)
-        .run(&traced);
-    let tape = slow.tape.as_ref().expect("tape was enabled for the slow run");
+    let slow = Machine::slow_only(platform, device).with_epochs(period).run(&traced);
     let slow_curve = cumulative(&slow.epochs);
+    let ns_per_cycle = platform.config().cycles_to_seconds(1.0) * 1e9;
 
     let mut table = Table::new(
         format!(
-            "explain: {} on {platform}/{device}, per-epoch components vs tape ({period} cycles)",
+            "explain: {} on {platform}/{device}, per-epoch components vs slow run ({period} cycles)",
             workload.name()
         ),
         &[
@@ -112,12 +108,13 @@ pub fn report_on(
         let actual = (slow_end - slow_start) / epoch.cycles().max(1) as f64 - 1.0;
         let residual = actual - p.total();
         residuals.push(residual.abs());
-        // The slow-run tape sample covering the midpoint of this epoch's
-        // instruction range (tape and epoch periods coincide, so this is
-        // the aligned slow-side epoch).
+        // The slow-run epoch whose cycles contain the midpoint of this
+        // epoch's instruction range (the last one past the run's end).
         let mid = (slow_start + slow_end) / 2.0;
-        let idx = ((mid / period as f64) as usize).min(tape.samples.len() - 1);
-        let s: &TapeSample = &tape.samples[idx];
+        let idx = slow.epochs.partition_point(|e| e.end_cycle as f64 <= mid);
+        let s = &slow.epochs[idx.min(slow.epochs.len() - 1)];
+        let latency_ns = s.slow.avg_read_latency().unwrap_or(0.0) * ns_per_cycle;
+        let queue_depth = s.slow.read_busy / s.cycles().max(1) as f64;
         table.row(&[
             i.to_string(),
             fmt(instructions / 1e6, 2),
@@ -130,9 +127,9 @@ pub fn report_on(
             s.lfb.to_string(),
             s.sq.to_string(),
             s.sb.to_string(),
-            fmt(s.slow.loaded_latency_ns, 1),
-            fmt(s.slow.queue_depth, 1),
-            fmt(s.ipc, 2),
+            fmt(latency_ns, 1),
+            fmt(queue_depth, 1),
+            fmt(s.ipc(), 2),
         ]);
     }
 
@@ -140,7 +137,7 @@ pub fn report_on(
         format!("explain: {} summary", workload.name()),
         &[
             "epochs",
-            "tape samples",
+            "slow epochs",
             "pred total",
             "actual total",
             "mean |resid|",
@@ -154,7 +151,7 @@ pub fn report_on(
     };
     summary.row(&[
         table.len().to_string(),
-        tape.samples.len().to_string(),
+        slow.epochs.len().to_string(),
         fmt(predictor.predict(&dram.counters).total(), 3),
         fmt(total_actual, 3),
         fmt(mean_resid, 3),
@@ -169,17 +166,10 @@ mod tests {
 
     #[test]
     fn cumulative_and_cycles_at_interpolate() {
-        use camp_pmu::CounterSet;
-        let mut counters = CounterSet::new();
-        counters.set(Event::Instructions, 100);
-        let epochs = vec![
-            camp_pmu::Epoch {
-                start_cycle: 0,
-                end_cycle: 200,
-                counters: counters.clone(),
-            },
-            camp_pmu::Epoch { start_cycle: 200, end_cycle: 600, counters },
-        ];
+        let mut first = Epoch { end_cycle: 200, ..Epoch::default() };
+        first.counters.set(Event::Instructions, 100);
+        let second = Epoch { start_cycle: 200, end_cycle: 600, ..first.clone() };
+        let epochs = vec![first, second];
         let curve = cumulative(&epochs);
         assert_eq!(curve, vec![(0.0, 0.0), (100.0, 200.0), (200.0, 600.0)]);
         assert_eq!(cycles_at(&curve, 0.0), 0.0);

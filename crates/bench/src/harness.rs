@@ -440,7 +440,6 @@ mod tests {
             },
             slow_tier: None,
             epochs: Vec::new(),
-            tape: None,
         };
         ctx.note_report_anomalies("spr2s/dram-only/empty", &report);
         let records = ctx.recorder().records();

@@ -128,7 +128,6 @@ mod tests {
             },
             slow_tier: None,
             epochs: Vec::new(),
-            tape: None,
         };
         for metric in BaselineMetric::ALL {
             assert!(metric.value(&report).is_finite(), "{}", metric.name());

@@ -604,7 +604,6 @@ mod tests {
             },
             slow_tier: None,
             epochs: Vec::new(),
-            tape: None,
         }
     }
 

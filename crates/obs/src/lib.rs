@@ -1,14 +1,10 @@
 //! `camp-obs`: observability layer for the CAMP pipeline.
 //!
 //! Std-only (no external dependencies; the workspace builds offline).
-//! Four pillars, mirroring how real heterogeneous-memory characterization
-//! work instruments its runs:
+//! Three pillars, mirroring how real heterogeneous-memory characterization
+//! work instruments its runs (the per-epoch time series lives with the
+//! engine, as `camp_sim::Epoch`):
 //!
-//! * **Epoch tapes** ([`tape`]) — per-epoch time series of the
-//!   micro-architectural structures CAMP's model is built on (LFB/SQ/SB
-//!   occupancy, per-tier loaded latency and queue depth, prefetch
-//!   issue/lateness, retirement IPC). Recorded by the sim engine, the
-//!   simulated analogue of the paper's PMU sampling run.
 //! * **Structured spans** ([`span`]) — experiment/run/calibration scopes
 //!   collected by a thread-safe [`Recorder`] in the bench harness,
 //!   replacing ad-hoc stderr timings.
@@ -27,9 +23,7 @@ pub mod hist;
 pub mod json;
 pub mod manifest;
 pub mod span;
-pub mod tape;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use span::{AttrValue, Recorder, SpanRecord, SpanScope};
-pub use tape::{Tape, TapeSample, TierTapeSample};

@@ -4,7 +4,7 @@
 //! workload suffers on a slow memory tier from counters collected during a
 //! DRAM-only run. This crate defines the counter vocabulary — the 17 events
 //! of Table 5 of the paper plus the cycle and instruction counts — together
-//! with the containers used to collect, snapshot and sample them.
+//! with the container used to collect and snapshot them.
 //!
 //! The crate is hardware-independent: on the authors' testbed these events
 //! map to Intel core/uncore PMU programming, while in this reproduction they
@@ -28,9 +28,7 @@
 #![warn(missing_docs)]
 pub mod derived;
 pub mod event;
-pub mod sampler;
 pub mod set;
 
 pub use event::Event;
-pub use sampler::{Epoch, EpochSampler};
 pub use set::CounterSet;

@@ -1,7 +1,7 @@
 //! Randomised property tests for the counter containers, driven by a
 //! deterministic SplitMix64 generator (no external test dependencies).
 
-use camp_pmu::{CounterSet, EpochSampler, Event};
+use camp_pmu::{CounterSet, Event};
 
 /// Minimal deterministic generator (SplitMix64).
 struct Rng(u64);
@@ -60,30 +60,5 @@ fn delta_never_underflows() {
         y.set(Event::Cycles, b);
         let d = x.delta_since(&y);
         assert_eq!(d[Event::Cycles], a.saturating_sub(b));
-    }
-}
-
-/// Epochs partition any monotone snapshot sequence: boundaries tile,
-/// deltas sum to the final totals.
-#[test]
-fn epochs_partition_monotone_runs() {
-    for seed in 0..64u64 {
-        let mut rng = Rng(seed ^ 0xabcd);
-        let steps = 1 + rng.below(31) as usize;
-        let mut sampler = EpochSampler::new(100);
-        let mut cumulative = CounterSet::new();
-        let mut cycle = 0;
-        for _ in 0..steps {
-            cycle += 1 + rng.below(9_999);
-            cumulative.add(Event::Instructions, rng.below(5_000));
-            cumulative.set(Event::Cycles, cycle);
-            sampler.observe(cycle, &cumulative);
-        }
-        let epochs = sampler.into_epochs();
-        for pair in epochs.windows(2) {
-            assert_eq!(pair[0].end_cycle, pair[1].start_cycle, "seed {seed}");
-        }
-        let total: u64 = epochs.iter().map(|e| e.counters[Event::Instructions]).sum();
-        assert_eq!(total, cumulative[Event::Instructions], "seed {seed}");
     }
 }

@@ -23,11 +23,10 @@ use crate::op::{Op, Workload};
 use crate::optrace::OpTrace;
 use crate::placement::{Placement, PlacementState, TierId};
 use crate::prefetch::StreamPrefetcher;
-use crate::report::{RunReport, TierReport};
+use crate::report::{Epoch, RunReport, TierReport};
 use crate::storebuf::StoreBuffer;
 use crate::sweep::MlpSweep;
-use camp_obs::{Tape, TapeSample, TierTapeSample};
-use camp_pmu::{CounterSet, EpochSampler, Event};
+use camp_pmu::{CounterSet, Event};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
@@ -62,7 +61,6 @@ pub struct Machine {
     fast_background: f64,
     slow_background: f64,
     epoch_period: Option<u64>,
-    tape_period: Option<u64>,
     llc_sharers: Option<u32>,
 }
 
@@ -76,7 +74,6 @@ impl Machine {
             fast_background: 0.0,
             slow_background: 0.0,
             epoch_period: None,
-            tape_period: None,
             llc_sharers: None,
         }
     }
@@ -116,22 +113,18 @@ impl Machine {
         self
     }
 
-    /// Enables per-epoch counter sampling with the given period in cycles.
+    /// Enables epoch sampling, the simulated analogue of the paper's PMU
+    /// sampling run: an epoch closes at the first op that retires at or
+    /// after the previous close plus `period_cycles`, and a final partial
+    /// epoch closes when the run ends. Each [`Epoch`] in
+    /// [`RunReport::epochs`] holds its counter and device deltas and the
+    /// miss-buffer occupancy at its period boundary. Sampling only reads
+    /// the engine, so a sampled run computes exactly what an unsampled one
+    /// does. Disabled by default; when disabled the engine pays one
+    /// predicted-false comparison per op. A zero period is rejected by
+    /// [`Machine::validate`].
     pub fn with_epochs(mut self, period_cycles: u64) -> Self {
         self.epoch_period = Some(period_cycles);
-        self
-    }
-
-    /// Enables the epoch tape: a time series of LFB/SQ/SB occupancy,
-    /// per-tier queue depth and loaded latency, prefetch issue/lateness
-    /// and retirement IPC, sampled every `period_cycles` retirement cycles
-    /// (the simulated analogue of the paper's PMU sampling run). The run
-    /// records exactly `ceil(cycles / period)` samples in
-    /// [`RunReport::tape`](crate::RunReport). Disabled by default; when
-    /// disabled the engine pays one predicted-false comparison per op. A
-    /// zero period is rejected by [`Machine::validate`].
-    pub fn with_tape(mut self, period_cycles: u64) -> Self {
-        self.tape_period = Some(period_cycles);
         self
     }
 
@@ -180,10 +173,8 @@ impl Machine {
         if workload.footprint_bytes() == 0 {
             return Err(SimError::EmptyFootprint { workload: workload.name().to_string() });
         }
-        for (what, period) in [("epoch", self.epoch_period), ("tape", self.tape_period)] {
-            if period == Some(0) {
-                return Err(SimError::InvalidSamplingPeriod { what });
-            }
+        if self.epoch_period == Some(0) {
+            return Err(SimError::InvalidSamplingPeriod);
         }
         Ok(())
     }
@@ -195,18 +186,6 @@ impl Machine {
         self.validate(workload)?;
         let trace = workload.trace();
         Ok(self.run_trace_unchecked(workload, &trace))
-    }
-
-    /// Like [`Machine::try_run`], but from an explicit packed trace (see
-    /// [`Workload::trace`]) so callers holding a shared trace skip the
-    /// resolution.
-    pub fn try_run_trace(
-        &self,
-        workload: &dyn Workload,
-        trace: &OpTrace,
-    ) -> Result<RunReport, SimError> {
-        self.validate(workload)?;
-        Ok(self.run_trace_unchecked(workload, trace))
     }
 
     /// Runs a workload to completion and reports counters and statistics.
@@ -300,8 +279,8 @@ const FILL_L1: u8 = 1;
 const FILL_L2: u8 = 2;
 const FILL_L3: u8 = 4;
 
-/// Fractional-cycle accumulators flushed into the integer counter set at
-/// sampling boundaries.
+/// Fractional-cycle accumulators, rounded into the integer counter set
+/// whenever the counters are read.
 #[derive(Debug, Default, Clone, Copy)]
 struct StallAccum {
     l1: f64,
@@ -332,50 +311,20 @@ struct Engine<'a> {
     retire_t: f64,
     inst_count: u64,
     rob_floor: f64,
-    sampler: Option<EpochSampler>,
-    tape: Option<TapeRecorder>,
-    /// Cycle of the next tape epoch boundary (`f64::INFINITY` when the
-    /// tape is disabled), cached so the per-op check is one
-    /// predicted-false float comparison.
-    tape_boundary: f64,
+    /// Epoch period in cycles, when sampling.
+    epoch_period: Option<u64>,
+    /// Cumulative records (each covering `[0, close)`), one per closed
+    /// epoch; `finish` turns them into per-epoch deltas.
+    closes: Vec<Epoch>,
+    /// Cycle at which the next epoch closes (`f64::INFINITY` when not
+    /// sampling), cached so the per-op check is one predicted-false float
+    /// comparison.
+    epoch_boundary: f64,
     /// Demand loads that coalesced onto a still-inflight prefetch (late
-    /// prefetches). Engine-local rather than a PMU event so enabling the
-    /// tape cannot perturb counter-derived output.
+    /// prefetches). Engine-local rather than a PMU event so the counter
+    /// set stays the paper's Table 5.
     pf_late: u64,
     retire_cost: f64,
-}
-
-/// In-progress epoch tape: fixed cycle boundaries, cumulative baselines
-/// for delta computation. Lives outside the per-op hot path — the engine
-/// only consults [`Engine::tape_boundary`] until a boundary is crossed.
-#[derive(Debug)]
-struct TapeRecorder {
-    period: u64,
-    next_boundary: u64,
-    samples: Vec<TapeSample>,
-    last_cycle: u64,
-    last_instructions: u64,
-    last_pf_issued: u64,
-    last_pf_late: u64,
-    last_fast: DeviceStats,
-    last_slow: DeviceStats,
-}
-
-impl TapeRecorder {
-    fn new(period: u64) -> Self {
-        assert!(period > 0, "tape sampling period must be positive");
-        TapeRecorder {
-            period,
-            next_boundary: period,
-            samples: Vec::new(),
-            last_cycle: 0,
-            last_instructions: 0,
-            last_pf_issued: 0,
-            last_pf_late: 0,
-            last_fast: DeviceStats::default(),
-            last_slow: DeviceStats::default(),
-        }
-    }
 }
 
 impl<'a> Engine<'a> {
@@ -424,9 +373,9 @@ impl<'a> Engine<'a> {
             retire_t: 0.0,
             inst_count: 0,
             rob_floor: 0.0,
-            sampler: machine.epoch_period.map(EpochSampler::new),
-            tape: machine.tape_period.map(TapeRecorder::new),
-            tape_boundary: machine.tape_period.map_or(f64::INFINITY, |p| p as f64),
+            epoch_period: machine.epoch_period,
+            closes: Vec::new(),
+            epoch_boundary: machine.epoch_period.map_or(f64::INFINITY, |p| p as f64),
             pf_late: 0,
             retire_cost: 1.0 / cfg.retire_width as f64,
         }
@@ -754,10 +703,11 @@ impl<'a> Engine<'a> {
 
     // ---- sampling -----------------------------------------------------
 
-    /// Writes the fractional accumulators and sweep totals into the
-    /// counter set (cumulative values).
-    fn flush_counters(&mut self) {
-        let c = &mut self.counters;
+    /// The counter set as of the retire clock: the event counts plus the
+    /// rounded stall accumulators and the sweep's occupancy totals. Reads
+    /// the engine without changing it, so sampling cannot perturb the run.
+    fn counters_now(&self) -> CounterSet {
+        let mut c = self.counters.clone();
         c.set(Event::Cycles, self.retire_t.round() as u64);
         c.set(Event::Instructions, self.inst_count);
         c.set(Event::StallsL1dMiss, self.stalls.l1.round() as u64);
@@ -768,89 +718,40 @@ impl<'a> Engine<'a> {
         c.set(Event::OroDemandRd, p11.round() as u64);
         c.set(Event::OrDemandRd, p12);
         c.set(Event::OroCycWDemandRd, p13.round() as u64);
+        c
     }
 
-    fn maybe_sample(&mut self) {
-        let Some(sampler) = &self.sampler else { return };
-        if self.retire_t < sampler.next_boundary() as f64 {
-            return;
+    /// The run so far as one cumulative record covering `[0, retire_t)`,
+    /// with the buffers' occupancy at cycle `at` read through their
+    /// non-mutating `occupancy_at` (a release here would evict entries
+    /// that lagging issue-time lookups still coalesce on).
+    fn cumulative_epoch(&self, counters: CounterSet, at: f64) -> Epoch {
+        Epoch {
+            start_cycle: 0,
+            end_cycle: self.retire_t as u64,
+            counters,
+            lfb: self.lfb.occupancy_at(at),
+            sq: self.sq.occupancy_at(at),
+            sb: self.sb.occupancy_at(at),
+            uncore_pf: self.uncore_pf.occupancy_at(at),
+            pf_late: self.pf_late,
+            fast: *self.fast.stats(),
+            slow: self.slow.as_ref().map_or_else(DeviceStats::default, |d| *d.stats()),
         }
-        self.flush_counters();
-        let counters = self.counters.clone();
-        let t = self.retire_t as u64;
-        self.sampler.as_mut().expect("sampler present").observe(t, &counters);
     }
 
-    #[inline]
-    fn maybe_tape(&mut self) {
-        if self.retire_t >= self.tape_boundary {
-            self.tape_catch_up();
-        }
-    }
-
-    /// Closes every tape epoch whose boundary has been crossed. One op can
-    /// jump retirement across several boundaries (a long memory stall), so
-    /// this loops: each missed boundary still gets its own sample —
-    /// occupancy is measured *at the boundary cycle* via the buffers'
-    /// non-mutating `occupancy_at` (a mutating release here would evict
-    /// entries that lagging issue-time lookups still coalesce on) while
-    /// the counter deltas land in the first epoch of the jump.
+    /// Closes the current epoch at the retire clock, which the last op
+    /// moved past the period boundary. Occupancy is read at the boundary
+    /// itself, the instant a sampling timer would fire: by the time an op
+    /// retires, the misses it waited on have filled. One op can jump
+    /// retirement across several periods (a long memory stall); that
+    /// still closes one epoch, and the next closes a period later.
     #[cold]
-    fn tape_catch_up(&mut self) {
-        let mut tape = self.tape.take().expect("tape boundary finite only when tape enabled");
-        while self.retire_t >= tape.next_boundary as f64 {
-            let boundary = tape.next_boundary;
-            self.tape_push(&mut tape, boundary);
-            tape.next_boundary += tape.period;
-        }
-        self.tape_boundary = tape.next_boundary as f64;
-        self.tape = Some(tape);
-    }
-
-    /// Appends one tape sample covering `(tape.last_cycle, cycle]`.
-    fn tape_push(&mut self, tape: &mut TapeRecorder, cycle: u64) {
-        let now = cycle as f64;
-        let epoch_cycles = (cycle - tape.last_cycle).max(1) as f64;
-        let pf_issued =
-            self.counters[Event::PfL1dAnyResponse] + self.counters[Event::PfL2AnyResponse];
-        let fast = *self.fast.stats();
-        let slow = self.slow.as_ref().map_or_else(DeviceStats::default, |d| *d.stats());
-        let ns_per_cycle = self.cfg.cycles_to_seconds(1.0) * 1e9;
-        let tier = move |delta: DeviceStats| {
-            let per_read = |total: f64| {
-                if delta.reads > 0 {
-                    total / delta.reads as f64 * ns_per_cycle
-                } else {
-                    0.0
-                }
-            };
-            TierTapeSample {
-                reads: delta.reads,
-                writes: delta.writes,
-                loaded_latency_ns: per_read(delta.total_read_latency),
-                queue_delay_ns: per_read(delta.total_read_queue_delay),
-                queue_depth: delta.read_busy / epoch_cycles,
-            }
-        };
-        tape.samples.push(TapeSample {
-            cycle,
-            instructions: self.inst_count,
-            ipc: (self.inst_count - tape.last_instructions) as f64 / epoch_cycles,
-            lfb: self.lfb.occupancy_at(now),
-            sq: self.sq.occupancy_at(now),
-            sb: self.sb.occupancy_at(now),
-            uncore_pf: self.uncore_pf.occupancy_at(now),
-            pf_issued: pf_issued - tape.last_pf_issued,
-            pf_late: self.pf_late - tape.last_pf_late,
-            fast: tier(fast.delta_since(&tape.last_fast)),
-            slow: tier(slow.delta_since(&tape.last_slow)),
-        });
-        tape.last_cycle = cycle;
-        tape.last_instructions = self.inst_count;
-        tape.last_pf_issued = pf_issued;
-        tape.last_pf_late = self.pf_late;
-        tape.last_fast = fast;
-        tape.last_slow = slow;
+    fn close_epoch(&mut self) {
+        let close = self.cumulative_epoch(self.counters_now(), self.epoch_boundary);
+        let period = self.epoch_period.expect("epoch boundary finite only when sampling");
+        self.epoch_boundary = (close.end_cycle + period) as f64;
+        self.closes.push(close);
     }
 
     // ---- main loop ----------------------------------------------------
@@ -929,25 +830,31 @@ impl<'a> Engine<'a> {
             }
         }
         self.scratch.rob_history.push_back((self.inst_count, self.retire_t));
-        self.maybe_sample();
-        self.maybe_tape();
+        if self.retire_t >= self.epoch_boundary {
+            self.close_epoch();
+        }
     }
 
     fn finish(mut self, workload: &dyn Workload) -> RunReport {
-        self.flush_counters();
-        if let Some(sampler) = &mut self.sampler {
-            let t = self.retire_t as u64;
-            sampler.observe(t, &self.counters);
-        }
-        // Close the final partial tape epoch so the tape always holds
-        // exactly ceil(cycles / period) samples.
-        let tape = self.tape.take().map(|mut tape| {
-            let total = self.counters[Event::Cycles];
-            if (tape.samples.len() as u64) < total.div_ceil(tape.period) {
-                self.tape_push(&mut tape, total);
+        self.counters = self.counters_now();
+        let epochs = if self.epoch_period.is_some() {
+            // The final partial epoch. A close in the same cycle as the
+            // last one replaces it: the deltas still sum to the run's
+            // totals without an empty epoch.
+            let close = self.cumulative_epoch(self.counters.clone(), self.retire_t);
+            if self.closes.last().is_some_and(|last| last.end_cycle == close.end_cycle) {
+                self.closes.pop();
             }
-            Tape { period: tape.period, samples: tape.samples }
-        });
+            self.closes.push(close);
+            let origin = Epoch::default();
+            std::iter::once(&origin)
+                .chain(&self.closes)
+                .zip(&self.closes)
+                .map(|(earlier, close)| close.since(earlier))
+                .collect()
+        } else {
+            Vec::new()
+        };
         self.scratch.cache_slots = [
             self.l1.into_slots(),
             self.l2.into_slots(),
@@ -974,8 +881,7 @@ impl<'a> Engine<'a> {
                 idle_latency_cycles: self.fast.idle_latency(),
             },
             slow_tier,
-            epochs: self.sampler.map(|s| s.into_epochs()).unwrap_or_default(),
-            tape,
+            epochs,
         }
     }
 }

@@ -74,11 +74,8 @@ pub enum SimError {
         /// Workload name.
         workload: String,
     },
-    /// An epoch or tape sampling period is zero.
-    InvalidSamplingPeriod {
-        /// Which sampler (`"epoch"` / `"tape"`).
-        what: &'static str,
-    },
+    /// The epoch sampling period is zero.
+    InvalidSamplingPeriod,
 }
 
 impl std::fmt::Display for SimError {
@@ -114,9 +111,7 @@ impl std::fmt::Display for SimError {
             SimError::EmptyFootprint { workload } => {
                 write!(f, "workload '{workload}' declares a zero-byte footprint")
             }
-            SimError::InvalidSamplingPeriod { what } => {
-                write!(f, "{what} sampling period must be positive")
-            }
+            SimError::InvalidSamplingPeriod => write!(f, "epoch sampling period must be positive"),
         }
     }
 }

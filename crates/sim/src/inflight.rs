@@ -160,7 +160,7 @@ impl InflightBuffer {
     }
 
     /// Number of entries that would be occupied at `now`, without
-    /// releasing anything. Observers (the epoch tape) must use this:
+    /// releasing anything. Observers (epoch sampling) must use this:
     /// the engine queries these buffers at issue-time cursors that can
     /// lag retirement, so an eager `release_until` at a retirement-time
     /// boundary would destroy entries a later lagging `lookup` still

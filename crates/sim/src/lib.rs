@@ -61,7 +61,6 @@ pub mod storebuf;
 pub mod sweep;
 pub mod trace;
 
-pub use camp_obs::{Tape, TapeSample, TierTapeSample};
 pub use config::{
     CacheGeometry, CounterFlavor, DeviceConfig, DeviceKind, Platform, PlatformConfig, LINE_BYTES,
     PAGE_BYTES,
@@ -71,4 +70,4 @@ pub use error::SimError;
 pub use op::{Op, Workload};
 pub use optrace::{CachedTrace, OpTrace, PackedOp, TraceCache, TraceStats};
 pub use placement::{Placement, TierId};
-pub use report::{RunReport, TierReport};
+pub use report::{Epoch, RunReport, TierReport};

@@ -79,7 +79,7 @@ impl DeviceStats {
     }
 
     /// Counter deltas accumulated since an `earlier` snapshot of the same
-    /// device (used by the epoch tape). `max_read_queue_delay` is a
+    /// device (used by epoch sampling). `max_read_queue_delay` is a
     /// running maximum, not a sum, so the current value carries over.
     pub fn delta_since(&self, earlier: &DeviceStats) -> DeviceStats {
         DeviceStats {

@@ -2,8 +2,7 @@
 
 use crate::config::{DeviceKind, Platform};
 use crate::mem::DeviceStats;
-use camp_obs::Tape;
-use camp_pmu::{derived, CounterSet, Epoch};
+use camp_pmu::{derived, CounterSet, Event};
 
 /// Per-tier summary of one run.
 #[derive(Debug, Clone)]
@@ -57,11 +56,71 @@ pub struct RunReport {
     pub fast_tier: TierReport,
     /// Slow-tier summary, when a slow device was configured.
     pub slow_tier: Option<TierReport>,
-    /// Per-epoch counter deltas, when epoch sampling was enabled.
+    /// Per-epoch records, when sampling was enabled with
+    /// [`Machine::with_epochs`](crate::Machine::with_epochs).
     pub epochs: Vec<Epoch>,
-    /// Epoch tape (occupancy/latency time series), when enabled via
-    /// [`Machine::with_tape`](crate::Machine::with_tape).
-    pub tape: Option<Tape>,
+}
+
+/// One sampling epoch of a run, `[start_cycle, end_cycle)` in retirement
+/// cycles: the counter and device deltas accumulated over it, and the
+/// miss-buffer occupancy at its sampling instant (the period boundary
+/// whose crossing closed it; the run's end for the last epoch).
+///
+/// Epochs tile the run: the first starts at cycle 0, each ends where the
+/// next starts, and the last ends at the run's final cycle (truncated).
+/// The deltas sum to the run's totals.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Epoch {
+    /// First cycle covered by this epoch.
+    pub start_cycle: u64,
+    /// One past the last cycle covered by this epoch.
+    pub end_cycle: u64,
+    /// Counter deltas accumulated during the epoch.
+    pub counters: CounterSet,
+    /// Line-fill-buffer entries in flight at the sampling instant.
+    pub lfb: usize,
+    /// Super-queue entries in flight at the sampling instant.
+    pub sq: usize,
+    /// Store-buffer entries occupied at the sampling instant.
+    pub sb: usize,
+    /// Uncore prefetch-queue entries in flight at the sampling instant.
+    pub uncore_pf: usize,
+    /// Demand loads that caught up with a still-inflight prefetch (late
+    /// prefetches: issued, but not in time).
+    pub pf_late: u64,
+    /// Fast-tier device deltas ([`DeviceStats::delta_since`]).
+    pub fast: DeviceStats,
+    /// Slow-tier device deltas (all zero without a slow device).
+    pub slow: DeviceStats,
+}
+
+impl Epoch {
+    /// Length of the epoch in cycles.
+    pub fn cycles(&self) -> u64 {
+        self.end_cycle - self.start_cycle
+    }
+
+    /// Retirement IPC over this epoch (0 for a zero-length epoch).
+    pub fn ipc(&self) -> f64 {
+        match self.cycles() {
+            0 => 0.0,
+            cycles => self.counters.get_f64(Event::Instructions) / cycles as f64,
+        }
+    }
+
+    /// The epoch between two cumulative records of the same run: deltas
+    /// from `earlier` to `self`, occupancy as of `self`.
+    pub(crate) fn since(&self, earlier: &Epoch) -> Epoch {
+        Epoch {
+            start_cycle: earlier.end_cycle,
+            end_cycle: self.end_cycle,
+            counters: self.counters.delta_since(&earlier.counters),
+            pf_late: self.pf_late - earlier.pf_late,
+            fast: self.fast.delta_since(&earlier.fast),
+            slow: self.slow.delta_since(&earlier.slow),
+            ..*self
+        }
+    }
 }
 
 impl RunReport {
@@ -130,7 +189,6 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_pmu::Event;
 
     fn report(cycles: f64, fast_reads: u64, slow_reads: u64) -> RunReport {
         let mut counters = CounterSet::new();
@@ -155,7 +213,6 @@ mod tests {
                 idle_latency_cycles: 449.4,
             }),
             epochs: Vec::new(),
-            tape: None,
         }
     }
 

@@ -138,7 +138,7 @@ impl StoreBuffer {
     }
 
     /// Entries that would be occupied at `now`, without freeing anything.
-    /// Observers (the epoch tape) must use this so sampling cannot alter
+    /// Observers (epoch sampling) must use this so sampling cannot alter
     /// which entry a later [`admit`](Self::admit) pops when full.
     pub fn occupancy_at(&self, now: f64) -> usize {
         self.entries.iter().filter(|Reverse(Time(t))| *t > now).count()

@@ -80,10 +80,9 @@ impl MlpSweep {
     /// Records an offcore demand read in flight over `[send, fill)`.
     ///
     /// Inserts may arrive out of order: an out-of-order core issues
-    /// independent loads while an older long-latency load is outstanding,
-    /// and epoch snapshots advance the cursor to the retire clock, which
-    /// runs ahead of issue times. A straggler's already-swept prefix is
-    /// integrated retroactively so the occupancy integral stays exact.
+    /// independent loads while an older long-latency load is outstanding.
+    /// A straggler's already-swept prefix is integrated retroactively so
+    /// the occupancy integral stays exact.
     ///
     /// # Panics
     ///
@@ -116,12 +115,15 @@ impl MlpSweep {
         (self.occupancy_integral, self.requests, self.active_cycles)
     }
 
-    /// Snapshot of `(P11, P12, P13)` as of time `now` without consuming the
-    /// accumulator; intervals still in flight contribute up to `now`. Used
-    /// at epoch boundaries.
-    pub fn snapshot(&mut self, now: f64) -> (f64, u64, f64) {
-        self.advance(now);
-        (self.occupancy_integral, self.requests, self.active_cycles)
+    /// `(P11, P12, P13)` as of time `now`; intervals still in flight
+    /// contribute up to `now`. Advances a copy, never the sweep itself: a
+    /// cursor moved ahead to the retire clock would turn later loads into
+    /// stragglers and undercount `P13`, so reading the counters at an
+    /// epoch boundary would change the run being read.
+    pub fn snapshot(&self, now: f64) -> (f64, u64, f64) {
+        let mut ahead = self.clone();
+        ahead.advance(now);
+        (ahead.occupancy_integral, ahead.requests, ahead.active_cycles)
     }
 }
 
@@ -192,6 +194,23 @@ mod tests {
         let (p11, _, p13) = sweep.finish();
         close(p11, 100.0);
         close(p13, 100.0);
+    }
+
+    #[test]
+    fn snapshot_leaves_later_inserts_unchanged() {
+        // A load sent at 50, after a snapshot at 120, must still count its
+        // solo span [100, 150) towards P13, as it does without the snapshot.
+        let run = |snapshot: bool| {
+            let mut sweep = MlpSweep::new();
+            sweep.insert(0.0, 100.0);
+            if snapshot {
+                let _ = sweep.snapshot(120.0);
+            }
+            sweep.insert(50.0, 150.0);
+            sweep.finish()
+        };
+        assert_eq!(run(true), run(false));
+        close(run(true).2, 150.0);
     }
 
     #[test]

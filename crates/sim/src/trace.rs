@@ -42,6 +42,8 @@ const VERSION: u16 = 1;
 
 const TAG_LOAD: u8 = 0;
 const TAG_CHASE_BASE: u8 = 0x40; // 0x40 + dep for dependent loads
+/// Largest load dependency distance the format encodes (tags up to 0x80).
+const MAX_DEP: u8 = 64;
 const TAG_STORE: u8 = 1;
 const TAG_COMPUTE: u8 = 2;
 
@@ -95,11 +97,18 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying writer.
+    /// Returns `InvalidInput` if `threads` exceeds the header's 16-bit
+    /// field, and propagates I/O errors from the underlying writer.
     pub fn new(mut out: W, threads: u32, footprint_bytes: u64) -> io::Result<Self> {
+        let threads = u16::try_from(threads).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{threads} threads do not fit the trace header (at most {})", u16::MAX),
+            )
+        })?;
         out.write_all(&MAGIC.to_le_bytes())?;
         out.write_all(&VERSION.to_le_bytes())?;
-        out.write_all(&(threads as u16).to_le_bytes())?;
+        out.write_all(&threads.to_le_bytes())?;
         out.write_all(&footprint_bytes.to_le_bytes())?;
         Ok(TraceWriter { out, last_addr: 0, ops: 0 })
     }
@@ -108,8 +117,18 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying writer.
+    /// Returns `InvalidInput`, writing nothing, for a load whose `dep`
+    /// exceeds 64 (the format's largest dependency distance), and
+    /// propagates I/O errors from the underlying writer.
     pub fn record(&mut self, op: Op) -> io::Result<()> {
+        if let Op::Load { dep, .. } = op {
+            if dep > MAX_DEP {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("load dependency distance {dep} exceeds the trace format's {MAX_DEP}"),
+                ));
+            }
+        }
         self.ops += 1;
         match op {
             Op::Load { addr, dep } => {
@@ -211,7 +230,7 @@ impl TraceReader {
                     last_addr = last_addr.wrapping_add_signed(delta);
                     ops.push(Op::store(last_addr));
                 }
-                t if t == TAG_LOAD || (TAG_CHASE_BASE..=TAG_CHASE_BASE + 64).contains(&t) => {
+                t if t == TAG_LOAD || (TAG_CHASE_BASE..=TAG_CHASE_BASE + MAX_DEP).contains(&t) => {
                     let dep = if t == TAG_LOAD { 0 } else { t - TAG_CHASE_BASE };
                     let delta = unzigzag(read_varint(input)?);
                     last_addr = last_addr.wrapping_add_signed(delta);

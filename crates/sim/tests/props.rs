@@ -349,6 +349,38 @@ fn trace_round_trips_arbitrary_ops() {
     }
 }
 
+/// The writer rejects what the format cannot hold, at write time and
+/// without writing a byte, instead of emitting a trace that replays as
+/// different ops: a load dependency over 64 (its tag would overflow the
+/// chase range, or the `u8` itself) and a thread count over 16 bits.
+#[test]
+fn trace_writer_rejects_unencodable_ops_and_headers() {
+    for dep in [64u8, 65, 191, 192, 255] {
+        let op = Op::Load { addr: 4096, dep };
+        let mut buffer = Vec::new();
+        let mut writer = TraceWriter::new(&mut buffer, 1, 1 << 20).unwrap();
+        let result = writer.record(op);
+        assert_eq!(writer.ops_recorded(), u64::from(dep <= 64), "dep {dep}");
+        writer.finish().unwrap();
+        if dep <= 64 {
+            result.unwrap();
+            let replayed: Vec<Op> =
+                TraceReader::from_bytes(&buffer, "dep").unwrap().ops().collect();
+            assert_eq!(replayed, vec![op], "dep {dep}");
+        } else {
+            assert_eq!(result.unwrap_err().kind(), std::io::ErrorKind::InvalidInput, "dep {dep}");
+            assert!(TraceReader::from_bytes(&buffer, "dep").unwrap().is_empty(), "dep {dep}");
+        }
+    }
+    let mut buffer = Vec::new();
+    let error = TraceWriter::new(&mut buffer, 65_536, 1 << 20).unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(buffer.is_empty(), "no header for a rejected thread count");
+    let writer = TraceWriter::new(&mut buffer, 65_535, 1 << 20).unwrap();
+    writer.finish().unwrap();
+    assert_eq!(TraceReader::from_bytes(&buffer, "threads").unwrap().threads(), 65_535);
+}
+
 /// Sweep-line identities: P11 equals the sum of interval lengths (Little's
 /// law bookkeeping), P13 never exceeds P11 and never exceeds the overall
 /// time span.

@@ -4,7 +4,7 @@
 //! benchmark's digest compares passes within one run; neither catches an
 //! engine edit that changes every path's output alike. This test does: it
 //! hashes the full `Debug` rendering of each report (counters, cycles,
-//! device statistics, epochs, tape) and compares the digest with the value
+//! device statistics, epochs) and compares the digest with the value
 //! recorded when the engine's output was last deliberately changed. A
 //! speed-only engine change must leave every digest as is; a model change
 //! re-pins them in the same commit that explains why.
@@ -29,36 +29,36 @@ const PREFIX_OPS: usize = 300_000;
 
 /// `(platform, machine label, workload, digest)`, in generation order.
 const GOLDEN: &[(&str, &str, &str, u64)] = &[
-    ("Skx2s", "dram", "mlc.chase-32m-c4", 0x2a16544020482b44),
-    ("Skx2s", "dram", "mlc.gups-64m-d0-w50", 0x677e1175db528827),
-    ("Skx2s", "dram", "mlc.stream-8t-c0", 0x777335db313c9b95),
-    ("Skx2s", "cxl-a", "mlc.chase-32m-c4", 0x349c86b77c992c4b),
-    ("Skx2s", "cxl-a", "mlc.gups-64m-d0-w50", 0x2843b6e09658c0af),
-    ("Skx2s", "cxl-a", "mlc.stream-8t-c0", 0xcfabce78a498d44c),
-    ("Skx2s", "interleaved-0.5", "mlc.chase-32m-c4", 0xd6abe5dc857ce625),
-    ("Skx2s", "interleaved-0.5", "mlc.gups-64m-d0-w50", 0x315550915be63398),
-    ("Skx2s", "interleaved-0.5", "mlc.stream-8t-c0", 0x885c06ddcc53e975),
-    ("Skx2s", "interleaved-0.5-tape", "mlc.chase-32m-c4", 0xf8554ee1bd440afc),
-    ("Spr2s", "dram", "mlc.chase-32m-c4", 0xb0555509f203ac4a),
-    ("Spr2s", "dram", "mlc.gups-64m-d0-w50", 0x5b5ebcafd53b178a),
-    ("Spr2s", "dram", "mlc.stream-8t-c0", 0x13b9c7d73bb625e9),
-    ("Spr2s", "cxl-a", "mlc.chase-32m-c4", 0x84a195c887e71db0),
-    ("Spr2s", "cxl-a", "mlc.gups-64m-d0-w50", 0xb77a6b7875476a68),
-    ("Spr2s", "cxl-a", "mlc.stream-8t-c0", 0x15d405dca92337ac),
-    ("Spr2s", "interleaved-0.5", "mlc.chase-32m-c4", 0x3ca6990cb3eacfe7),
-    ("Spr2s", "interleaved-0.5", "mlc.gups-64m-d0-w50", 0xf9e2c5296d2b1e9f),
-    ("Spr2s", "interleaved-0.5", "mlc.stream-8t-c0", 0x19cbb952f935a646),
-    ("Spr2s", "interleaved-0.5-tape", "mlc.chase-32m-c4", 0xa94f17cf4cd60f57),
-    ("Emr2s", "dram", "mlc.chase-32m-c4", 0xa716ccccf1f39f08),
-    ("Emr2s", "dram", "mlc.gups-64m-d0-w50", 0x65ed559af821b63f),
-    ("Emr2s", "dram", "mlc.stream-8t-c0", 0x14e9c8a4e17b8be1),
-    ("Emr2s", "cxl-a", "mlc.chase-32m-c4", 0xe96e575b7b3f943a),
-    ("Emr2s", "cxl-a", "mlc.gups-64m-d0-w50", 0xf24ffb4e763990c9),
-    ("Emr2s", "cxl-a", "mlc.stream-8t-c0", 0xe8022b9d21fef532),
-    ("Emr2s", "interleaved-0.5", "mlc.chase-32m-c4", 0xeeb6b8a960d83443),
-    ("Emr2s", "interleaved-0.5", "mlc.gups-64m-d0-w50", 0x84eeeaa05242eee0),
-    ("Emr2s", "interleaved-0.5", "mlc.stream-8t-c0", 0x4246369b1d72143f),
-    ("Emr2s", "interleaved-0.5-tape", "mlc.chase-32m-c4", 0x17b0b1f1b350f48d),
+    ("Skx2s", "dram", "mlc.chase-32m-c4", 0xd4cecd8eea57241c),
+    ("Skx2s", "dram", "mlc.gups-64m-d0-w50", 0xaf99b4991943429b),
+    ("Skx2s", "dram", "mlc.stream-8t-c0", 0xdd0fcafff63c5d91),
+    ("Skx2s", "cxl-a", "mlc.chase-32m-c4", 0xee6a08f2af5c2717),
+    ("Skx2s", "cxl-a", "mlc.gups-64m-d0-w50", 0xfa841e7df5008213),
+    ("Skx2s", "cxl-a", "mlc.stream-8t-c0", 0xec72765cd3530194),
+    ("Skx2s", "interleaved-0.5", "mlc.chase-32m-c4", 0x1a762a6c4031bfc1),
+    ("Skx2s", "interleaved-0.5", "mlc.gups-64m-d0-w50", 0xb312cf02372eb298),
+    ("Skx2s", "interleaved-0.5", "mlc.stream-8t-c0", 0xb3fb280260d808b1),
+    ("Skx2s", "interleaved-0.5-epochs", "mlc.chase-32m-c4", 0x731f786ad3c52631),
+    ("Spr2s", "dram", "mlc.chase-32m-c4", 0x7a2ee28ba50c7fd2),
+    ("Spr2s", "dram", "mlc.gups-64m-d0-w50", 0x91152dfd0696cd12),
+    ("Spr2s", "dram", "mlc.stream-8t-c0", 0x12298732c9bb287d),
+    ("Spr2s", "cxl-a", "mlc.chase-32m-c4", 0x36cb87ed2a922100),
+    ("Spr2s", "cxl-a", "mlc.gups-64m-d0-w50", 0xfc4ba7faa9c17988),
+    ("Spr2s", "cxl-a", "mlc.stream-8t-c0", 0x6b9d74afb447b234),
+    ("Spr2s", "interleaved-0.5", "mlc.chase-32m-c4", 0xdec3f850595cd25b),
+    ("Spr2s", "interleaved-0.5", "mlc.gups-64m-d0-w50", 0x659b2983229a3aa3),
+    ("Spr2s", "interleaved-0.5", "mlc.stream-8t-c0", 0xdb4b04d721af5086),
+    ("Spr2s", "interleaved-0.5-epochs", "mlc.chase-32m-c4", 0x294325fb4fa4b372),
+    ("Emr2s", "dram", "mlc.chase-32m-c4", 0xdc9a8a6a9be8e368),
+    ("Emr2s", "dram", "mlc.gups-64m-d0-w50", 0x2e64e4b4c15ec103),
+    ("Emr2s", "dram", "mlc.stream-8t-c0", 0xbfe8b78ff7ad2345),
+    ("Emr2s", "cxl-a", "mlc.chase-32m-c4", 0xaa636ecc9ea12ea2),
+    ("Emr2s", "cxl-a", "mlc.gups-64m-d0-w50", 0x6196893094d8221d),
+    ("Emr2s", "cxl-a", "mlc.stream-8t-c0", 0x603299b447829e6a),
+    ("Emr2s", "interleaved-0.5", "mlc.chase-32m-c4", 0x509b5a853d01733f),
+    ("Emr2s", "interleaved-0.5", "mlc.gups-64m-d0-w50", 0x20d304baaca7f650),
+    ("Emr2s", "interleaved-0.5", "mlc.stream-8t-c0", 0x442ca32bebac7f03),
+    ("Emr2s", "interleaved-0.5-epochs", "mlc.chase-32m-c4", 0x4191ace5a44dd622),
 ];
 
 /// FNV-1a, 64-bit.
@@ -77,13 +77,11 @@ fn machines(platform: Platform) -> [(&'static str, Machine); 4] {
         ("dram", Machine::dram_only(platform)),
         ("cxl-a", Machine::slow_only(platform, DeviceKind::CxlA)),
         ("interleaved-0.5", Machine::interleaved(platform, DeviceKind::CxlA, 0.5)),
-        // The observers read the in-flight buffers without releasing
-        // entries; pin what they see too.
+        // Sampling reads the in-flight buffers and the MLP sweep without
+        // moving them; pin what it sees too.
         (
-            "interleaved-0.5-tape",
-            Machine::interleaved(platform, DeviceKind::CxlA, 0.5)
-                .with_epochs(200_000)
-                .with_tape(200_000),
+            "interleaved-0.5-epochs",
+            Machine::interleaved(platform, DeviceKind::CxlA, 0.5).with_epochs(200_000),
         ),
     ]
 }
@@ -99,11 +97,19 @@ fn engine_reports_match_their_pinned_digests() {
     let mut actual = Vec::new();
     for platform in [Platform::Skx2s, Platform::Spr2s, Platform::Emr2s] {
         for (label, machine) in machines(platform) {
-            // The tape variant only on one workload: it pins the observers,
-            // not another full matrix.
-            let count = if label.ends_with("tape") { 1 } else { workloads.len() };
+            // The sampled variant only on one workload: it pins the
+            // observer, not another full matrix.
+            let sampled = label.ends_with("epochs");
+            let count = if sampled { 1 } else { workloads.len() };
             for (workload, trace) in workloads.iter().zip(&traces).take(count) {
                 let report = machine.run_trace(workload, trace);
+                if sampled {
+                    // Sampling only records: the report minus its epochs
+                    // is the unsampled run's.
+                    let plain = machines(platform)[2].1.run_trace(workload, trace);
+                    let unsampled = RunReport { epochs: Vec::new(), ..report.clone() };
+                    assert_eq!(format!("{unsampled:?}"), format!("{plain:?}"), "{platform:?}");
+                }
                 actual.push((
                     format!("{platform:?}"),
                     label,

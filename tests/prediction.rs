@@ -60,6 +60,24 @@ fn spr_cxl_predictor() -> &'static CampPredictor {
     CELL.get_or_init(|| CampPredictor::new(Calibration::fit(Platform::Spr2s, DeviceKind::CxlA)))
 }
 
+/// What the sample scores today, per gated config: `(Pearson, share of
+/// workloads predicted within 10 points)`. The floors below only catch a
+/// collapse; these pins make any model or engine edit that moves the
+/// sample's accuracy show up as a reviewed change to this table. With 34
+/// workloads, one workload crossing the 10-point bar moves the share by
+/// 0.029, so the share is pinned exactly.
+const SCORES_CXL_A: (f64, f64) = (0.9696, 0.5000);
+const SCORES_NUMA: (f64, f64) = (0.7525, 0.5588);
+/// Allowed drift from a pinned score.
+const SCORE_TOLERANCE: f64 = 0.01;
+
+fn assert_pinned(config: &str, what: &str, actual: f64, pinned: f64) {
+    assert!(
+        (actual - pinned).abs() <= SCORE_TOLERANCE,
+        "{config} {what} {actual:.4} moved from its pinned {pinned:.4}; if deliberate, re-pin it"
+    );
+}
+
 struct Evaluation {
     predicted: Vec<f64>,
     actual: Vec<f64>,
@@ -83,6 +101,8 @@ fn cxl_a_prediction_correlates_strongly() {
     // The sample's slowdowns reach 4-7x, so a 10-percentage-point bar is
     // strict; half the sample within it is the regression gate.
     assert!(errors.within_10pct >= 0.45, "CXL-A within-10pct share {}", errors.within_10pct);
+    assert_pinned("CXL-A", "pearson", pearson, SCORES_CXL_A.0);
+    assert_pinned("CXL-A", "within-10pct share", errors.within_10pct, SCORES_CXL_A.1);
 }
 
 #[test]
@@ -96,6 +116,8 @@ fn numa_prediction_correlates_strongly() {
     assert!(pearson > 0.72, "NUMA pearson {pearson}");
     let errors = stats::error_summary(&eval.predicted, &eval.actual);
     assert!(errors.within_10pct > 0.55, "NUMA within-10pct share {}", errors.within_10pct);
+    assert_pinned("NUMA", "pearson", pearson, SCORES_NUMA.0);
+    assert_pinned("NUMA", "within-10pct share", errors.within_10pct, SCORES_NUMA.1);
 }
 
 #[test]
