@@ -4,7 +4,7 @@ use crate::harness::{fmt, Context, Table};
 use camp_core::interleave::{InterleaveModel, LatencyCurve, DEFAULT_TAU};
 use camp_core::model::DrdTransfer;
 use camp_core::stats::{self, Hyperbola};
-use camp_core::{Calibration, MeasuredComponents, Signature};
+use camp_core::{Calibration, MeasuredComponents};
 use camp_sim::{DeviceKind, Platform};
 
 use super::fig9::{sweep, SWEEP_STEPS};
@@ -22,7 +22,7 @@ fn evaluate_with(
     transfer: DrdTransfer,
     saturation: bool,
 ) {
-    let mut calibration = (*ctx.calibration(PLATFORM, DEVICE)).clone();
+    let mut calibration = ctx.calibration(PLATFORM, DEVICE);
     mutate(&mut calibration);
     let predictor = camp_core::CampPredictor::new(calibration).with_transfer(transfer);
     let (mut predicted, mut actual) = (Vec::new(), Vec::new());
@@ -159,11 +159,4 @@ pub fn quadratic(ctx: &Context) -> Vec<Table> {
         ]);
     }
     vec![table]
-}
-
-/// Re-exported so the registry can reference the signature-only helper in
-/// tests.
-#[doc(hidden)]
-pub fn _signature_of(report: &camp_sim::RunReport) -> Signature {
-    Signature::from_report(report)
 }

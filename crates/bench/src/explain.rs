@@ -68,7 +68,7 @@ pub fn report(ctx: &Context, workload: &dyn Workload) -> Vec<Table> {
 ///
 /// Both endpoint runs are re-simulated here (not recalled from the
 /// context's cache) because the drill-down needs epoch sampling; the
-/// calibration still comes from the shared single-flight cache.
+/// calibration's probe runs still come from the cache.
 pub fn report_on(
     ctx: &Context,
     workload: &dyn Workload,

@@ -1,5 +1,5 @@
-//! Shared experiment infrastructure: cached simulation runs, cached
-//! calibrations, and plain-text table output.
+//! Shared experiment infrastructure: cached simulation runs, calibrations
+//! fitted from them, and plain-text table output.
 //!
 //! Several experiments consume the same (platform, device) endpoint runs
 //! of the full 265-workload suite; the [`Context`] memoises them so
@@ -23,7 +23,6 @@ type RunKey = (Platform, Option<DeviceKind>, String);
 /// Memoising experiment context, shareable across threads.
 pub struct Context {
     runs: Memo<RunKey, RunReport>,
-    calibrations: Memo<(Platform, DeviceKind), Calibration>,
     traces: TraceCache,
     obs: Recorder,
     jobs: usize,
@@ -33,7 +32,6 @@ impl Default for Context {
     fn default() -> Self {
         Context {
             runs: Memo::default(),
-            calibrations: Memo::default(),
             traces: TraceCache::new(),
             obs: Recorder::new(),
             jobs: par::default_jobs(),
@@ -182,22 +180,41 @@ impl Context {
         self.prefetch_runs(&runs);
     }
 
-    /// Fits (or recalls) the calibration for a (platform, device) pair.
-    /// Single-flight, like [`Context::run`].
-    pub fn calibration(&self, platform: Platform, device: DeviceKind) -> Arc<Calibration> {
-        self.calibrations.get_or_compute(&(platform, device), || {
-            // Rooted for the same reason as run spans: the single-flight
-            // winner must not decide the span's place in the tree.
-            let _span = self.obs.scope_rooted("calibration", format!("{platform}/{device}"));
-            Calibration::try_fit(platform, device).unwrap_or_else(|error| {
-                panic!("calibration failed (platform {platform}, device {device}): {error}")
+    /// The calibration for a (platform, device) pair: a pure fit over the
+    /// calibration suite's probe runs, which come from [`Context::run`] —
+    /// memoized, fanned out over [`Context::jobs`], and shared with every
+    /// other calibration on the same platform (the DRAM half).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probe run fails (see [`Context::run`]) or the fit
+    /// rejects the runs.
+    pub fn calibration(&self, platform: Platform, device: DeviceKind) -> Calibration {
+        self.fit_probes(platform, device, &camp_workloads::calibration_suite())
+    }
+
+    fn fit_probes(
+        &self,
+        platform: Platform,
+        device: DeviceKind,
+        probes: &[Box<dyn Workload>],
+    ) -> Calibration {
+        self.prefetch_suite(platform, device, probes);
+        let runs: Vec<_> = probes
+            .iter()
+            .map(|probe| {
+                let probe = probe.as_ref();
+                (self.run(platform, None, probe), self.run(platform, Some(device), probe))
             })
+            .collect();
+        Calibration::from_probe_runs(platform, device, &runs).unwrap_or_else(|error| {
+            panic!("calibration failed (platform {platform}, device {device}): {error}")
         })
     }
 
     /// Convenience: a predictor for a (platform, device) pair.
     pub fn predictor(&self, platform: Platform, device: DeviceKind) -> CampPredictor {
-        CampPredictor::new((*self.calibration(platform, device)).clone())
+        CampPredictor::new(self.calibration(platform, device))
     }
 
     /// Number of simulation runs executed (not merely recalled) so far.
@@ -216,9 +233,9 @@ impl Context {
         self.runs.hits()
     }
 
-    /// The span recorder every experiment, run, and calibration reports
-    /// into. The `repro` driver renders it as a run manifest and Chrome
-    /// trace after a sweep.
+    /// The span recorder every experiment and run reports into. The
+    /// `repro` driver renders it as a run manifest and Chrome trace after
+    /// a sweep.
     pub fn recorder(&self) -> &Recorder {
         &self.obs
     }
@@ -418,6 +435,28 @@ mod tests {
         assert_eq!(run.name, "SKX2S/dram-only/ctx-obs-chase");
         assert_eq!(run.parent, None, "run spans are rooted, not nested");
         assert_eq!(records.iter().filter(|r| r.category == "run").count(), 1);
+    }
+
+    #[test]
+    fn calibration_from_memoized_runs_matches_a_serial_fit() {
+        use camp_workloads::kernels::{StoreKernel, StorePattern, StridedRead};
+        // The five-probe set of `camp_core::calibration`'s unit tests.
+        let probes: Vec<Box<dyn Workload>> = vec![
+            Box::new(PointerChase::new("calib.t-chase-c1", 1, 1 << 19, 1, 40_000)),
+            Box::new(PointerChase::new("calib.t-chase-c4", 1, 1 << 19, 4, 40_000)),
+            Box::new(PointerChase::new("calib.t-chase-c12", 1, 1 << 19, 12, 40_000)),
+            Box::new(StridedRead::new("calib.t-strided", 1, 1 << 19, 4, 2, 40_000)),
+            Box::new(StoreKernel::new("calib.t-memset", 1, 64 << 20, StorePattern::Memset, 40_000)),
+        ];
+        let ctx = Context::new().with_jobs(2);
+        let memoized = ctx.fit_probes(Platform::Spr2s, DeviceKind::CxlA, &probes);
+        assert_eq!(ctx.runs_executed(), 10, "one DRAM and one slow run per probe");
+        assert_eq!(memoized, Calibration::fit_with(Platform::Spr2s, DeviceKind::CxlA, &probes));
+        // A second device on the same platform reuses the DRAM half.
+        let _ = ctx.fit_probes(Platform::Spr2s, DeviceKind::Numa, &probes);
+        assert_eq!(ctx.runs_executed(), 15);
+        let records = ctx.recorder().records();
+        assert!(records.iter().all(|r| r.category == "run"), "probe runs are ordinary run spans");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 use crate::error::ModelError;
 use crate::signature::{MeasuredComponents, Signature};
 use crate::stats::{proportional_fit, Hyperbola};
-use camp_sim::{DeviceKind, Machine, Platform, Workload};
+use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
+use std::borrow::Borrow;
 
 /// Fitted platform constants for one (platform, slow device) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,52 +67,58 @@ impl Calibration {
         Self::fit_with(platform, device, &camp_workloads::calibration_suite())
     }
 
-    /// Fallible variant of [`Calibration::fit`].
-    pub fn try_fit(platform: Platform, device: DeviceKind) -> Result<Self, ModelError> {
-        Self::try_fit_with(platform, device, &camp_workloads::calibration_suite())
-    }
-
     /// Fits constants from a caller-supplied probe set (useful for tests
-    /// and for studying calibration sensitivity).
+    /// and for studying calibration sensitivity): runs each probe on DRAM
+    /// and on the slow tier, one after another, then fits the reports with
+    /// [`Calibration::from_probe_runs`].
     ///
     /// # Panics
     ///
-    /// Panics if `probes` is empty or a probe run is rejected (see
-    /// [`Calibration::try_fit_with`]).
+    /// Panics if `probes` is empty or the simulator rejects a probe run
+    /// (invalid platform/device parameters, empty probe footprint).
     pub fn fit_with(platform: Platform, device: DeviceKind, probes: &[Box<dyn Workload>]) -> Self {
-        Self::try_fit_with(platform, device, probes)
+        let dram_machine = Machine::dram_only(platform);
+        let slow_machine = Machine::slow_only(platform, device);
+        let runs: Vec<_> = probes
+            .iter()
+            .map(|probe| (dram_machine.run(probe.as_ref()), slow_machine.run(probe.as_ref())))
+            .collect();
+        Self::from_probe_runs(platform, device, &runs)
             .unwrap_or_else(|error| panic!("calibration needs probes and valid runs: {error}"))
     }
 
-    /// Fallible variant of [`Calibration::fit_with`]: rejects an empty
-    /// probe set with [`ModelError::NoProbes`] and surfaces any
-    /// simulation-level rejection of a probe run (invalid platform/device
-    /// parameters, empty probe footprint) as [`ModelError::Sim`] instead
-    /// of panicking mid-fit.
-    pub fn try_fit_with(
+    /// Fits constants from probe runs: one (DRAM-only, slow-only) report
+    /// pair per calibration microbenchmark, in probe order. The fit is pure
+    /// — it simulates nothing — so the caller decides how the runs are
+    /// produced ([`Calibration::fit_with`] runs them serially; the
+    /// experiment harness recalls them from its memoized run cache).
+    ///
+    /// Rejects an empty run set with [`ModelError::NoProbes`] and a "slow"
+    /// report without a slow tier with [`ModelError::MissingSlowTier`].
+    pub fn from_probe_runs<R: Borrow<RunReport>>(
         platform: Platform,
         device: DeviceKind,
-        probes: &[Box<dyn Workload>],
+        runs: &[(R, R)],
     ) -> Result<Self, ModelError> {
-        if probes.is_empty() {
+        if runs.is_empty() {
             return Err(ModelError::NoProbes);
         }
-        let dram_machine = Machine::dram_only(platform);
-        let slow_machine = Machine::slow_only(platform, device);
-
         let mut tolerance_x = Vec::new();
         let mut tolerance_y = Vec::new();
         let mut dram_sigs = Vec::new();
         let mut measured = Vec::new();
         let mut dram_idle = 0.0;
         let mut slow_idle = 0.0;
-        for probe in probes {
-            let d = dram_machine.try_run(probe.as_ref())?;
-            let s = slow_machine.try_run(probe.as_ref())?;
+        for (d, s) in runs {
+            let (d, s) = (d.borrow(), s.borrow());
+            let slow_tier = s
+                .slow_tier
+                .as_ref()
+                .ok_or_else(|| ModelError::MissingSlowTier { workload: s.workload.clone() })?;
             dram_idle = d.fast_tier.idle_latency_cycles;
-            slow_idle = s.slow_tier.as_ref().map(|t| t.idle_latency_cycles).unwrap_or(slow_idle);
-            let sig_d = Signature::from_report(&d);
-            let sig_s = Signature::from_report(&s);
+            slow_idle = slow_tier.idle_latency_cycles;
+            let sig_d = Signature::from_report(d);
+            let sig_s = Signature::from_report(s);
             // Latency-tolerance scatter: needs real offcore demand traffic
             // on both tiers to measure the scaling ratios.
             if sig_d.mlp > 0.0
@@ -125,7 +132,7 @@ impl Calibration {
                 tolerance_x.push(sig_d.latency_tolerance());
                 tolerance_y.push(y);
             }
-            measured.push(MeasuredComponents::attribute(&d, &s));
+            measured.push(MeasuredComponents::attribute(d, s));
             dram_sigs.push(sig_d);
         }
 
@@ -163,7 +170,7 @@ impl Calibration {
             k_store: proportional_fit(&store_terms, &truth_store).unwrap_or(1.0),
             dram_idle_latency: dram_idle,
             slow_idle_latency: slow_idle,
-            samples: probes.len(),
+            samples: runs.len(),
         })
     }
 
@@ -231,28 +238,19 @@ mod tests {
     }
 
     #[test]
-    fn try_fit_reports_typed_errors() {
+    fn from_probe_runs_reports_typed_errors() {
         assert_eq!(
-            Calibration::try_fit_with(Platform::Spr2s, DeviceKind::CxlA, &[]).unwrap_err(),
+            Calibration::from_probe_runs::<RunReport>(Platform::Spr2s, DeviceKind::CxlA, &[])
+                .unwrap_err(),
             ModelError::NoProbes
         );
-        // A zero-footprint probe is rejected by the simulator at
-        // construction time and surfaces as a Sim error, not a panic.
-        struct Empty;
-        impl Workload for Empty {
-            fn name(&self) -> &str {
-                "calib.t-empty"
-            }
-            fn footprint_bytes(&self) -> u64 {
-                0
-            }
-            fn ops(&self) -> Box<dyn Iterator<Item = camp_sim::Op> + '_> {
-                Box::new(std::iter::empty())
-            }
-        }
-        let probes: Vec<Box<dyn Workload>> = vec![Box::new(Empty)];
+        // A "slow" run that executed entirely on DRAM has no slow tier to
+        // read an idle latency from.
+        let probe = PointerChase::new("calib.t-dram-twice", 1, 1 << 14, 1, 5_000);
+        let dram = Machine::dram_only(Platform::Spr2s).run(&probe);
         let error =
-            Calibration::try_fit_with(Platform::Spr2s, DeviceKind::CxlA, &probes).unwrap_err();
-        assert!(matches!(error, ModelError::Sim(_)), "got {error:?}");
+            Calibration::from_probe_runs(Platform::Spr2s, DeviceKind::CxlA, &[(&dram, &dram)])
+                .unwrap_err();
+        assert_eq!(error, ModelError::MissingSlowTier { workload: "calib.t-dram-twice".into() });
     }
 }

@@ -5,11 +5,11 @@
 //! upstream division, an empty sample set). [`ModelError`] names the
 //! offending workload/series/value so a failure deep inside a 265-workload
 //! sweep is attributable without a debugger. The fallible entry points —
-//! [`Calibration::try_fit`], [`InterleaveModel::try_profile`],
+//! [`Calibration::from_probe_runs`], [`InterleaveModel::try_profile`],
 //! [`stats::try_error_summary`] — return these; the legacy panicking APIs
 //! remain as thin wrappers.
 //!
-//! [`Calibration::try_fit`]: crate::calibration::Calibration::try_fit
+//! [`Calibration::from_probe_runs`]: crate::calibration::Calibration::from_probe_runs
 //! [`InterleaveModel::try_profile`]: crate::interleave::InterleaveModel::try_profile
 //! [`stats::try_error_summary`]: crate::stats::try_error_summary
 

@@ -99,15 +99,6 @@ pub fn l1d_hit_rate(c: &CounterSet) -> Option<f64> {
     ratio(c.get_f64(Event::L1dHit), c.get_f64(Event::DemandLoads))
 }
 
-/// Offcore read traffic in cache lines (demand + both prefetchers + RFOs);
-/// multiply by the line size and divide by wall time for bandwidth.
-pub fn offcore_lines(c: &CounterSet) -> u64 {
-    c.get(Event::OrDemandRd)
-        + c.get(Event::PfL1dAnyResponse)
-        + c.get(Event::PfL2AnyResponse)
-        + c.get(Event::RfoRequests)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

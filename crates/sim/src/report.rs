@@ -174,16 +174,6 @@ impl RunReport {
             1.0
         }
     }
-
-    /// Total lines of offcore traffic per kilo-instruction (a coarse memory
-    /// intensity signal).
-    pub fn offcore_lines_per_kilo_instruction(&self) -> f64 {
-        if self.instructions > 0 {
-            derived::offcore_lines(&self.counters) as f64 * 1000.0 / self.instructions as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,14 +8,20 @@ use camp::policies::{
     baseline_policies, evaluate_policy, BestShotPolicy, PolicyContext, TieringPolicy,
 };
 use camp::sim::{DeviceKind, Platform};
+use std::sync::OnceLock;
 
 const PLATFORM: Platform = Platform::Skx2s;
 const DEVICE: DeviceKind = DeviceKind::CxlA;
 
+/// One SKX2S/CXL-A fit shared by every test in this binary.
+fn predictor() -> &'static CampPredictor {
+    static CELL: OnceLock<CampPredictor> = OnceLock::new();
+    CELL.get_or_init(|| CampPredictor::new(Calibration::fit(PLATFORM, DEVICE)))
+}
+
 #[test]
 fn best_shot_tops_the_policy_comparison_on_bwaves() {
-    let predictor = CampPredictor::new(Calibration::fit(PLATFORM, DEVICE));
-    let ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
+    let ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(predictor());
     let workload = camp::workloads::find("spec.603.bwaves-8t").expect("in suite");
     let best_shot = BestShotPolicy::new();
     let bs = evaluate_policy(&ctx, &best_shot, &workload);
@@ -37,8 +43,7 @@ fn best_shot_tops_the_policy_comparison_on_bwaves() {
 
 #[test]
 fn best_shot_clearly_beats_static_policies_on_llama() {
-    let predictor = CampPredictor::new(Calibration::fit(PLATFORM, DEVICE));
-    let ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
+    let ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(predictor());
     let workload = camp::workloads::find("ai.llama-7b-prefill").expect("in suite");
     let bs = evaluate_policy(&ctx, &BestShotPolicy::new(), &workload);
     for policy in [
@@ -91,8 +96,7 @@ fn camp_colocation_beats_mpki_on_a_conflicting_pair() {
 
 #[test]
 fn every_policy_produces_a_runnable_placement() {
-    let predictor = CampPredictor::new(Calibration::fit(PLATFORM, DEVICE));
-    let ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
+    let ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(predictor());
     let workload = camp::workloads::find("spec.505.mcf-1t").expect("in suite");
     let best_shot = BestShotPolicy::new();
     let mut results = vec![evaluate_policy(&ctx, &best_shot, &workload)];
