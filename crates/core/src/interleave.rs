@@ -258,16 +258,6 @@ impl InterleaveModel {
         Self::try_from_endpoint_runs(dram, slow).unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Fallible variant of [`InterleaveModel::from_dram_run`]: rejects
-    /// non-finite signatures with a typed error naming the workload.
-    pub fn try_from_dram_run(
-        dram: &RunReport,
-        predictor: &CampPredictor,
-    ) -> Result<Self, ModelError> {
-        Signature::from_report(dram).check(&dram.workload)?;
-        Ok(Self::from_dram_run(dram, predictor))
-    }
-
     /// Builds the latency-bound model from a bare signature — no
     /// [`RunReport`] at all. This is the serving-layer path: a remote
     /// client ships the DRAM-run signature over the wire, and both tiers'
@@ -340,8 +330,10 @@ impl InterleaveModel {
     /// returning every failure (invalid machine configuration, degenerate
     /// or non-finite runs) as a typed error instead of panicking. No
     /// `expect`/`assert!` is reachable from here on invalid input: the
-    /// simulations go through [`Machine::try_run`] and the model
-    /// constructors through their `try_` variants.
+    /// simulations go through [`Machine::try_run`], the two-run model
+    /// through [`InterleaveModel::try_from_endpoint_runs`], and the one-run
+    /// model is built only from a DRAM signature that passed
+    /// [`Signature::check`].
     pub fn try_profile(
         platform: Platform,
         device: DeviceKind,
@@ -351,7 +343,10 @@ impl InterleaveModel {
     ) -> Result<Self, ModelError> {
         let dram = Machine::dram_only(platform).try_run(workload)?;
         match try_classify(&dram, tau)? {
-            Boundness::LatencyBound => Self::try_from_dram_run(&dram, predictor),
+            Boundness::LatencyBound => {
+                Signature::from_report(&dram).check(&dram.workload)?;
+                Ok(Self::from_dram_run(&dram, predictor))
+            }
             Boundness::BandwidthBound => {
                 let slow = Machine::slow_only(platform, device).try_run(workload)?;
                 Self::try_from_endpoint_runs(&dram, &slow)

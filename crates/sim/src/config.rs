@@ -10,7 +10,7 @@
 //! per-line service interval in cycles.
 //!
 //! Both config types expose a `validate()` returning a typed
-//! [`SimError`](crate::error::SimError) so invalid parameter combinations
+//! [`SimError`] so invalid parameter combinations
 //! (non-positive bandwidths, zero-capacity caches, zero-entry buffers) are
 //! rejected at the [`Machine::try_run`](crate::engine::Machine::try_run)
 //! boundary instead of panicking deep inside the engine.

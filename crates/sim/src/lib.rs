@@ -18,7 +18,9 @@
 //!   the PMU counter a real machine would attribute it to ([`engine`]),
 //! - a compact packed op-trace layer with a single-flight cache
 //!   ([`optrace`], on the generic [`memo::Memo`]) so one generated op
-//!   stream feeds every engine run and every policy profiling pass.
+//!   stream feeds every engine run and every policy profiling pass, and
+//!   one trace-backed workload ([`Traced`]) whose file codec replays
+//!   memory traces captured outside this program.
 //!
 //! Runs produce a [`RunReport`] holding the full Table 5 counter set, which
 //! the `camp-core` models consume exactly as they would consume `perf`
@@ -59,7 +61,6 @@ pub mod prefetch;
 pub mod report;
 pub mod storebuf;
 pub mod sweep;
-pub mod trace;
 
 pub use config::{
     CacheGeometry, CounterFlavor, DeviceConfig, DeviceKind, Platform, PlatformConfig, LINE_BYTES,
@@ -68,6 +69,6 @@ pub use config::{
 pub use engine::Machine;
 pub use error::SimError;
 pub use op::{Op, Workload};
-pub use optrace::{CachedTrace, OpTrace, PackedOp, TraceCache, TraceStats};
+pub use optrace::{OpTrace, PackedOp, TraceCache, TraceStats, Traced};
 pub use placement::{Placement, TierId};
 pub use report::{Epoch, RunReport, TierReport};

@@ -114,12 +114,12 @@ pub trait Workload: Send + Sync {
     ///
     /// The default implementation materialises [`Workload::ops`] on every
     /// call, so custom workloads keep working unchanged. Implementations
-    /// that already hold a materialised stream (or can share one — see
-    /// [`crate::optrace::TraceCache::wrap`]) override this to return a
-    /// cached `Arc` and skip regeneration entirely. Must decode
-    /// element-for-element equal to [`Workload::ops`]: the engine's
-    /// determinism contract (identical reports from either path) depends
-    /// on it.
+    /// that already hold a materialised stream (such as
+    /// [`crate::optrace::Traced`], which [`crate::optrace::TraceCache::wrap`]
+    /// returns) override this to return a shared `Arc` and skip
+    /// regeneration entirely. Must decode element-for-element equal to
+    /// [`Workload::ops`]: the engine's determinism contract (identical
+    /// reports from either path) depends on it.
     fn trace(&self) -> std::sync::Arc<crate::optrace::OpTrace> {
         std::sync::Arc::new(crate::optrace::OpTrace::from_ops(self.ops()))
     }

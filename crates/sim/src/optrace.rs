@@ -14,13 +14,16 @@
 //!   `Arc` across engine runs, policies and threads;
 //! - [`TraceCache`] memoises traces on a single-flight [`Memo`] (the same
 //!   table as the experiment harness's run cache): concurrent requests for
-//!   one workload generate it exactly once, the rest share the result.
+//!   one workload generate it exactly once, the rest share the result;
+//! - [`Traced`] is the one trace-backed [`Workload`]: what
+//!   [`TraceCache::wrap`] returns and what a trace file loads into.
 //!
 //! Decoding is exact: every `Op` round-trips bit-identically, so a report
 //! produced from a trace equals one produced from the generator.
 
 use crate::memo::Memo;
 use crate::op::{Op, Workload};
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 /// A fixed-width 12-byte encoding of one [`Op`].
@@ -196,10 +199,16 @@ impl TraceCache {
         self.memo.get_or_compute(&key, || OpTrace::from_workload(workload))
     }
 
-    /// Wraps `workload` so its [`Workload::trace`] (and [`Workload::ops`])
-    /// resolve through this cache.
-    pub fn wrap<'a>(&'a self, workload: &'a dyn Workload) -> CachedTrace<'a> {
-        CachedTrace { cache: self, inner: workload }
+    /// Resolves `workload`'s trace through this cache now (one request)
+    /// and returns it as a [`Traced`] workload, so every consumer taking
+    /// `&dyn Workload` shares the cached trace without further requests.
+    pub fn wrap(&self, workload: &dyn Workload) -> Traced {
+        Traced {
+            name: workload.name().to_string(),
+            threads: workload.threads(),
+            footprint_bytes: workload.footprint_bytes(),
+            trace: self.trace(workload),
+        }
     }
 
     /// Number of traces generated (not merely recalled) so far.
@@ -254,45 +263,235 @@ pub struct TraceStats {
     pub packed_bytes: usize,
 }
 
-/// A workload adapter routing trace requests through a shared
-/// [`TraceCache`] (see [`TraceCache::wrap`]).
-#[derive(Clone, Copy)]
-pub struct CachedTrace<'a> {
-    cache: &'a TraceCache,
-    inner: &'a dyn Workload,
+/// A workload backed by a materialised op trace: a generated workload
+/// resolved through [`TraceCache::wrap`], or an application's memory
+/// trace captured outside this program and loaded with
+/// [`Traced::read_from`]. Cloning shares the trace.
+///
+/// # File format (version 1)
+///
+/// A 16-byte little-endian header — magic `"TPMC"` (`u32` `0x434d5054`),
+/// version (`u16`), thread count (`u16`), footprint in bytes (`u64`) —
+/// then one record per op: a tag byte and a LEB128 varint payload. Tag
+/// 0 is a load, `0x40 + dep` a dependent load (`dep` 1..=64), 1 a store
+/// (both carry the ZigZag-encoded address delta from the previous load
+/// or store address, starting at 0), and 2 a compute op (its cycles).
+/// Sequential scans cost ~2 bytes per op.
+///
+/// # Example
+///
+/// ```
+/// use camp_sim::{Machine, Op, OpTrace, Platform, Traced};
+/// use std::sync::Arc;
+///
+/// let ops = (0..1000u64).flat_map(|i| [Op::load((i * 64) % (1 << 20)), Op::compute(2)]);
+/// let app = Traced {
+///     name: "my-app".into(),
+///     threads: 1,
+///     footprint_bytes: 1 << 20,
+///     trace: Arc::new(OpTrace::from_ops(ops)),
+/// };
+/// let mut file = Vec::new();
+/// app.write_to(&mut file)?;
+///
+/// let workload = Traced::read_from(file.as_slice(), "my-app")?;
+/// let report = Machine::dram_only(Platform::Spr2s).run(&workload);
+/// assert!(report.instructions > 0);
+/// # Ok::<(), std::io::Error>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Traced {
+    /// Workload name.
+    pub name: String,
+    /// Thread count.
+    pub threads: u32,
+    /// Per-thread memory footprint in bytes.
+    pub footprint_bytes: u64,
+    /// The op stream.
+    pub trace: Arc<OpTrace>,
 }
 
-impl std::fmt::Debug for CachedTrace<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedTrace").field("workload", &self.inner.name()).finish()
+const MAGIC: u32 = 0x434d_5054;
+const VERSION: u16 = 1;
+const HEADER_BYTES: usize = 16;
+const TAG_LOAD: u8 = 0;
+const TAG_STORE: u8 = 1;
+const TAG_COMPUTE: u8 = 2;
+/// Dependent loads take tag `TAG_CHASE_BASE + dep`.
+const TAG_CHASE_BASE: u8 = 0x40;
+/// Largest load dependency distance the format encodes.
+const MAX_DEP: u8 = 64;
+
+impl Traced {
+    /// Writes the trace in the file format above: encoded into one buffer,
+    /// then one `write_all` and a flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput`, writing nothing, if `threads` exceeds the
+    /// header's 16 bits or a load's `dep` exceeds 64; propagates I/O
+    /// errors from `out`.
+    pub fn write_to(&self, mut out: impl Write) -> io::Result<()> {
+        let threads = u16::try_from(self.threads).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} threads do not fit the trace header (at most {})",
+                    self.threads,
+                    u16::MAX
+                ),
+            )
+        })?;
+        let mut buf = Vec::with_capacity(HEADER_BYTES + 3 * self.trace.len());
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&threads.to_le_bytes());
+        buf.extend_from_slice(&self.footprint_bytes.to_le_bytes());
+        let mut last_addr = 0u64;
+        let mut delta =
+            |addr: u64| zigzag(addr.wrapping_sub(std::mem::replace(&mut last_addr, addr)) as i64);
+        for op in self.trace.iter() {
+            let (tag, payload) = match op {
+                Op::Load { dep, .. } if dep > MAX_DEP => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "load dependency distance {dep} exceeds the trace format's {MAX_DEP}"
+                        ),
+                    ));
+                }
+                Op::Load { addr, dep: 0 } => (TAG_LOAD, delta(addr)),
+                Op::Load { addr, dep } => (TAG_CHASE_BASE + dep, delta(addr)),
+                Op::Store { addr } => (TAG_STORE, delta(addr)),
+                Op::Compute { cycles } => (TAG_COMPUTE, u64::from(cycles)),
+            };
+            buf.push(tag);
+            put_varint(&mut buf, payload);
+        }
+        out.write_all(&buf)?;
+        out.flush()
+    }
+
+    /// Reads a trace in the file format above (one `read_to_end`, then a
+    /// parse of the bytes). A header thread count of 0 loads as 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` for a bad magic or version, an unknown tag, a
+    /// varint over 64 bits or a compute op over `u32::MAX` cycles, and
+    /// `UnexpectedEof` for a truncated header or record; propagates I/O
+    /// errors from `input`.
+    pub fn read_from(mut input: impl Read, name: impl Into<String>) -> io::Result<Traced> {
+        let mut bytes = Vec::new();
+        input.read_to_end(&mut bytes)?;
+        let Some((header, mut rest)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        };
+        if header[..4] != MAGIC.to_le_bytes() {
+            return Err(invalid_data("not a CAMP trace".into()));
+        }
+        let version = u16::from_le_bytes([header[4], header[5]]);
+        if version != VERSION {
+            return Err(invalid_data(format!("unsupported trace version {version}")));
+        }
+        let threads = u16::from_le_bytes([header[6], header[7]]);
+        let footprint_bytes = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+        let mut ops = Vec::new();
+        let mut last_addr = 0u64;
+        while let Some((&tag, tail)) = rest.split_first() {
+            rest = tail;
+            let dep = match tag {
+                TAG_LOAD | TAG_STORE | TAG_COMPUTE => 0,
+                t if (TAG_CHASE_BASE + 1..=TAG_CHASE_BASE + MAX_DEP).contains(&t) => {
+                    t - TAG_CHASE_BASE
+                }
+                other => return Err(invalid_data(format!("unknown op tag {other}"))),
+            };
+            let payload = take_varint(&mut rest)?;
+            let op = if tag == TAG_COMPUTE {
+                Op::compute(u32::try_from(payload).map_err(|_| {
+                    invalid_data(format!("compute op of {payload} cycles exceeds u32"))
+                })?)
+            } else {
+                last_addr = last_addr.wrapping_add_signed(unzigzag(payload));
+                if tag == TAG_STORE {
+                    Op::store(last_addr)
+                } else {
+                    Op::Load { addr: last_addr, dep }
+                }
+            };
+            ops.push(PackedOp::encode(op));
+        }
+        Ok(Traced {
+            name: name.into(),
+            threads: u32::from(threads.max(1)),
+            footprint_bytes,
+            trace: Arc::new(OpTrace { ops }),
+        })
     }
 }
 
-impl Workload for CachedTrace<'_> {
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// ZigZag encoding for signed address deltas.
+fn zigzag(value: i64) -> u64 {
+    ((value << 1) ^ (value >> 63)) as u64
+}
+
+fn unzigzag(value: u64) -> i64 {
+    ((value >> 1) as i64) ^ -((value & 1) as i64)
+}
+
+fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        buf.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    buf.push(value as u8);
+}
+
+/// Parses one LEB128 varint off the front of `input`, rejecting any that
+/// does not fit 64 bits instead of dropping its high bits.
+fn take_varint(input: &mut &[u8]) -> io::Result<u64> {
+    let mut value = 0u64;
+    for shift in (0..64).step_by(7) {
+        let Some((&byte, rest)) = input.split_first() else {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        };
+        *input = rest;
+        let bits = u64::from(byte & 0x7f);
+        if shift == 63 && bits > 1 {
+            break;
+        }
+        value |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+    }
+    Err(invalid_data("varint exceeds 64 bits".into()))
+}
+
+impl Workload for Traced {
     fn name(&self) -> &str {
-        self.inner.name()
+        &self.name
     }
 
     fn threads(&self) -> u32 {
-        self.inner.threads()
+        self.threads
     }
 
     fn footprint_bytes(&self) -> u64 {
-        self.inner.footprint_bytes()
+        self.footprint_bytes
     }
 
     fn ops(&self) -> Box<dyn Iterator<Item = Op> + '_> {
-        let trace = self.cache.trace(self.inner);
-        let mut index = 0;
-        Box::new(std::iter::from_fn(move || {
-            let op = trace.packed().get(index)?.decode();
-            index += 1;
-            Some(op)
-        }))
+        Box::new(self.trace.iter())
     }
 
     fn trace(&self) -> Arc<OpTrace> {
-        self.cache.trace(self.inner)
+        Arc::clone(&self.trace)
     }
 }
 
@@ -415,10 +614,11 @@ mod tests {
         let via_trace: Vec<Op> = wrapped.trace().iter().collect();
         assert_eq!(direct, via_wrap);
         assert_eq!(direct, via_trace);
-        // One generation for the baseline collect, one for the cache fill;
-        // the wrapper's ops() and trace() both hit the cache.
+        // One generation for the baseline collect, one for the cache fill
+        // at `wrap`; the wrapper's ops() and trace() make no requests.
         assert_eq!(w.generated.load(Ordering::Relaxed), 2);
         assert_eq!(cache.generated(), 1);
+        assert_eq!(cache.requests(), 1);
     }
 
     #[test]
@@ -432,5 +632,163 @@ mod tests {
         assert_eq!(stats[0].threads, 1);
         assert_eq!(stats[0].ops, 100);
         assert_eq!(stats[0].packed_bytes, 1200);
+    }
+
+    fn traced(threads: u32, footprint_bytes: u64, ops: Vec<Op>) -> Traced {
+        let trace = Arc::new(OpTrace::from_ops(ops));
+        Traced {
+            name: "codec".into(),
+            threads,
+            footprint_bytes,
+            trace,
+        }
+    }
+
+    fn encode(workload: &Traced) -> Vec<u8> {
+        let mut buffer = Vec::new();
+        workload.write_to(&mut buffer).expect("encodable");
+        buffer
+    }
+
+    fn decode_error(bytes: &[u8]) -> io::ErrorKind {
+        Traced::read_from(bytes, "bad").unwrap_err().kind()
+    }
+
+    /// Format version 1, byte for byte: a format change fails here even
+    /// when the writer and reader change together.
+    #[test]
+    fn format_v1_bytes_are_pinned() {
+        let ops = vec![
+            Op::load(0x1000),
+            Op::Load { addr: 0x1040, dep: 4 },
+            Op::store(0x2000),
+            Op::compute(300),
+            Op::load(0x0fc0),
+        ];
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0x54, 0x50, 0x4d, 0x43, 0x01, 0x00, 0x03, 0x00,
+            0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x80, 0x40,
+            0x44, 0x80, 0x01,
+            0x01, 0x80, 0x3f,
+            0x02, 0xac, 0x02,
+            0x00, 0xff, 0x40,
+        ];
+        assert_eq!(encode(&traced(3, 1 << 20, ops.clone())), golden);
+        let decoded = Traced::read_from(golden, "golden").expect("parse");
+        assert_eq!(decoded.threads(), 3);
+        assert_eq!(decoded.footprint_bytes(), 1 << 20);
+        assert_eq!(decoded.ops().collect::<Vec<_>>(), ops);
+    }
+
+    #[test]
+    fn round_trip_preserves_ops_exactly() {
+        let ops = vec![
+            Op::load(0),
+            Op::load(64),
+            Op::compute(7),
+            Op::chase(4096),
+            Op::Load { addr: 128, dep: 4 },
+            Op::store(64),
+            Op::store(1 << 30),
+            Op::compute(1),
+            // Deltas that overflow `i64` subtraction.
+            Op::load(64),
+            Op::store(1 << 63),
+            Op::load(u64::MAX),
+            Op::load(0),
+            Op::compute(u32::MAX),
+        ];
+        let decoded = Traced::read_from(encode(&traced(4, 1 << 31, ops.clone())).as_slice(), "rt")
+            .expect("parse");
+        assert_eq!(decoded.name(), "rt");
+        assert_eq!(decoded.threads(), 4);
+        assert_eq!(decoded.footprint_bytes(), 1 << 31);
+        assert_eq!(decoded.ops().collect::<Vec<_>>(), ops);
+    }
+
+    #[test]
+    fn sequential_traces_compress_well() {
+        let buffer = encode(&traced(1, 1 << 20, (0..10_000u64).map(|i| Op::load(i * 8)).collect()));
+        // Delta encoding: one tag byte + one varint byte per op.
+        assert!(buffer.len() < 10_000 * 3, "trace is {} bytes", buffer.len());
+    }
+
+    #[test]
+    fn bad_magic_is_rejected() {
+        assert_eq!(decode_error(b"not a trace at all!!"), io::ErrorKind::InvalidData);
+        let mut bad_version = encode(&traced(1, 0, vec![]));
+        bad_version[4] = 2;
+        assert_eq!(decode_error(&bad_version), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn truncated_header_is_rejected() {
+        assert_eq!(decode_error(&[0x54, 0x50]), io::ErrorKind::UnexpectedEof);
+        let mut truncated_record = encode(&traced(1, 0, vec![]));
+        truncated_record.extend_from_slice(&[TAG_LOAD, 0x80]);
+        assert_eq!(decode_error(&truncated_record), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn unknown_tag_is_rejected() {
+        let mut buffer = encode(&traced(1, 0, vec![]));
+        buffer.push(0xff);
+        assert_eq!(decode_error(&buffer), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn varint_over_64_bits_is_rejected() {
+        let mut buffer = encode(&traced(1, 0, vec![]));
+        let header = buffer.len();
+        // u64::MAX takes ten bytes, the last holding a single bit.
+        buffer.push(TAG_COMPUTE);
+        put_varint(&mut buffer, u64::MAX);
+        assert_eq!(
+            buffer[header + 1..],
+            [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]
+        );
+        buffer[header] = TAG_STORE;
+        assert_eq!(Traced::read_from(buffer.as_slice(), "max").unwrap().trace.len(), 1);
+        *buffer.last_mut().unwrap() = 0x02;
+        assert_eq!(decode_error(&buffer), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn compute_over_u32_cycles_is_rejected() {
+        let mut buffer = encode(&traced(1, 0, vec![]));
+        buffer.push(TAG_COMPUTE);
+        put_varint(&mut buffer, u64::from(u32::MAX) + 1);
+        assert_eq!(decode_error(&buffer), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn recorded_workload_replays_identically_through_the_engine() {
+        use crate::{Machine, Platform};
+        struct Mixed;
+        impl Workload for Mixed {
+            fn name(&self) -> &str {
+                "trace-mixed"
+            }
+            fn footprint_bytes(&self) -> u64 {
+                1 << 22
+            }
+            fn ops(&self) -> Box<dyn Iterator<Item = Op> + '_> {
+                Box::new((0..20_000u64).map(|i| match i % 5 {
+                    0 => Op::load((i.wrapping_mul(2654435761)) % (1 << 22)),
+                    1 => Op::load(i * 8 % (1 << 22)),
+                    2 => Op::chase((i.wrapping_mul(48271)) % (1 << 22)),
+                    3 => Op::store(i * 64 % (1 << 22)),
+                    _ => Op::compute(3),
+                }))
+            }
+        }
+        let buffer = encode(&TraceCache::new().wrap(&Mixed));
+        let replayed = Traced::read_from(buffer.as_slice(), Mixed.name()).expect("parse");
+        let machine = Machine::dram_only(Platform::Spr2s);
+        let (a, b) = (machine.run(&Mixed), machine.run(&replayed));
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.counters, b.counters);
     }
 }

@@ -8,8 +8,8 @@ use camp_sim::inflight::{InflightBuffer, InflightEntry, WaitClass};
 use camp_sim::op::{Op, Workload};
 use camp_sim::placement::{Placement, PlacementState, TierId};
 use camp_sim::sweep::MlpSweep;
-use camp_sim::trace::{TraceReader, TraceWriter};
-use camp_sim::{DeviceKind, Platform, LINE_BYTES};
+use camp_sim::{DeviceKind, OpTrace, Platform, Traced, LINE_BYTES};
+use std::sync::Arc;
 
 /// Minimal deterministic generator (SplitMix64).
 struct Rng(u64);
@@ -326,6 +326,17 @@ fn interleave_ratio_is_respected() {
     }
 }
 
+/// A trace-backed workload holding `ops`.
+fn traced(threads: u32, footprint_bytes: u64, ops: Vec<Op>) -> Traced {
+    let trace = Arc::new(OpTrace::from_ops(ops));
+    Traced {
+        name: "prop".into(),
+        threads,
+        footprint_bytes,
+        trace,
+    }
+}
+
 /// Traces round-trip arbitrary op streams bit-exactly.
 #[test]
 fn trace_round_trips_arbitrary_ops() {
@@ -336,49 +347,41 @@ fn trace_round_trips_arbitrary_ops() {
         let threads = 1 + rng.below(63) as u32;
         let footprint = rng.below(1 << 45);
         let mut buffer = Vec::new();
-        let mut writer = TraceWriter::new(&mut buffer, threads, footprint).unwrap();
-        for &op in &ops {
-            writer.record(op).unwrap();
-        }
-        writer.finish().unwrap();
-        let trace = TraceReader::from_bytes(&buffer, "prop").unwrap();
-        assert_eq!(trace.threads(), threads.min(u16::MAX as u32).max(1), "seed {seed}");
+        traced(threads, footprint, ops.clone()).write_to(&mut buffer).unwrap();
+        let trace = Traced::read_from(buffer.as_slice(), "prop").unwrap();
+        assert_eq!(trace.threads(), threads, "seed {seed}");
         assert_eq!(trace.footprint_bytes(), footprint, "seed {seed}");
         let replayed: Vec<Op> = trace.ops().collect();
         assert_eq!(replayed, ops, "seed {seed}");
     }
 }
 
-/// The writer rejects what the format cannot hold, at write time and
-/// without writing a byte, instead of emitting a trace that replays as
-/// different ops: a load dependency over 64 (its tag would overflow the
-/// chase range, or the `u8` itself) and a thread count over 16 bits.
+/// The writer rejects what the format cannot hold, writing nothing at
+/// all, instead of emitting a trace that replays as different ops: a
+/// load dependency over 64 (its tag would overflow the chase range, or
+/// the `u8` itself) and a thread count over 16 bits.
 #[test]
 fn trace_writer_rejects_unencodable_ops_and_headers() {
     for dep in [64u8, 65, 191, 192, 255] {
         let op = Op::Load { addr: 4096, dep };
         let mut buffer = Vec::new();
-        let mut writer = TraceWriter::new(&mut buffer, 1, 1 << 20).unwrap();
-        let result = writer.record(op);
-        assert_eq!(writer.ops_recorded(), u64::from(dep <= 64), "dep {dep}");
-        writer.finish().unwrap();
+        let result = traced(1, 1 << 20, vec![Op::load(0), op]).write_to(&mut buffer);
         if dep <= 64 {
             result.unwrap();
             let replayed: Vec<Op> =
-                TraceReader::from_bytes(&buffer, "dep").unwrap().ops().collect();
-            assert_eq!(replayed, vec![op], "dep {dep}");
+                Traced::read_from(buffer.as_slice(), "dep").unwrap().ops().collect();
+            assert_eq!(replayed, vec![Op::load(0), op], "dep {dep}");
         } else {
             assert_eq!(result.unwrap_err().kind(), std::io::ErrorKind::InvalidInput, "dep {dep}");
-            assert!(TraceReader::from_bytes(&buffer, "dep").unwrap().is_empty(), "dep {dep}");
+            assert!(buffer.is_empty(), "dep {dep}: nothing written");
         }
     }
     let mut buffer = Vec::new();
-    let error = TraceWriter::new(&mut buffer, 65_536, 1 << 20).unwrap_err();
+    let error = traced(65_536, 1 << 20, vec![]).write_to(&mut buffer).unwrap_err();
     assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
     assert!(buffer.is_empty(), "no header for a rejected thread count");
-    let writer = TraceWriter::new(&mut buffer, 65_535, 1 << 20).unwrap();
-    writer.finish().unwrap();
-    assert_eq!(TraceReader::from_bytes(&buffer, "threads").unwrap().threads(), 65_535);
+    traced(65_535, 1 << 20, vec![]).write_to(&mut buffer).unwrap();
+    assert_eq!(Traced::read_from(buffer.as_slice(), "threads").unwrap().threads(), 65_535);
 }
 
 /// Sweep-line identities: P11 equals the sum of interval lengths (Little's
