@@ -1,13 +1,13 @@
 //! Ablation benches for the design choices called out in `DESIGN.md`.
 
 use crate::harness::{fmt, Context, Table};
-use camp_core::interleave::{InterleaveModel, LatencyCurve, DEFAULT_TAU};
+use camp_core::interleave::LatencyCurve;
 use camp_core::model::DrdTransfer;
 use camp_core::stats::{self, Hyperbola};
 use camp_core::{Calibration, MeasuredComponents};
 use camp_sim::{DeviceKind, Platform};
 
-use super::fig9::{sweep, SWEEP_STEPS};
+use super::fig9::{profile, sweep, SWEEP_STEPS};
 
 const PLATFORM: Platform = Platform::Spr2s;
 const DEVICE: DeviceKind = DeviceKind::CxlA;
@@ -39,7 +39,7 @@ fn evaluate_with(
         predicted.push(total);
         actual.push(MeasuredComponents::attribute(&dram, &slow).total);
     }
-    let errors = stats::error_summary(&predicted, &actual);
+    let errors = stats::error_summary(&predicted, &actual).unwrap_or_else(|e| panic!("{e}"));
     table.row(&[
         label.to_string(),
         fmt(stats::pearson(&predicted, &actual).unwrap_or(0.0), 3),
@@ -129,14 +129,9 @@ pub fn quadratic(ctx: &Context) -> Vec<Table> {
     let workloads = camp_workloads::interleaving_workloads();
     let mut data = Vec::new();
     for workload in &workloads {
-        let model = InterleaveModel::profile(
-            super::fig9::PLATFORM,
-            super::fig9::DEVICE,
-            workload,
-            &predictor,
-            DEFAULT_TAU,
-        );
-        let (baseline, points) = sweep(workload, SWEEP_STEPS);
+        let traced = ctx.traces().wrap(workload.as_ref());
+        let (baseline, points) = sweep(ctx, &traced, SWEEP_STEPS);
+        let model = profile(ctx, &traced, &predictor);
         let actuals: Vec<(f64, f64)> =
             points.iter().map(|(x, report)| (*x, report.slowdown_vs(&baseline))).collect();
         data.push((model, actuals));

@@ -9,7 +9,6 @@
 //!   the third micro-architecture (EMR), sampled suite.
 
 use crate::harness::{fmt, Context, Table};
-use camp_core::interleave::{InterleaveModel, DEFAULT_TAU};
 use camp_core::{stats, MeasuredComponents};
 use camp_policies::{
     evaluate_policy, BestShotPolicy, FirstTouch, HybridCamp, Nbt, PolicyContext, Soar,
@@ -17,7 +16,7 @@ use camp_policies::{
 };
 use camp_sim::{DeviceKind, Machine, Op, Placement, Platform, Workload, PAGE_BYTES};
 
-use super::fig9::{DEVICE, PLATFORM};
+use super::fig9::{profile, DEVICE, PLATFORM};
 
 /// A DLRM-like composite: per element, one Zipf-skewed embedding gather
 /// plus two dense sequential stream loads. The hot embedding pages reward
@@ -82,8 +81,9 @@ pub fn first_touch(ctx: &Context) -> Vec<Table> {
         "db.btree_lookup-lg",
     ] {
         let workload = camp_workloads::find(name).expect("in suite");
-        let model = InterleaveModel::profile(PLATFORM, DEVICE, &workload, &predictor, DEFAULT_TAU);
-        let baseline = Machine::dram_only(PLATFORM).run(&workload);
+        let workload = ctx.traces().wrap(workload.as_ref());
+        let model = profile(ctx, &workload, &predictor);
+        let baseline = ctx.run(PLATFORM, None, &workload);
         let total_pages = workload.footprint_bytes().div_ceil(PAGE_BYTES);
         for capacity in [0.25, 0.5, 0.75] {
             let predicted = model.predict_total(capacity);
@@ -108,7 +108,8 @@ pub fn first_touch(ctx: &Context) -> Vec<Table> {
         "Extension (§5.5): first-touch prediction accuracy",
         &["samples", "pearson", "mean abs err"],
     );
-    let errors = stats::error_summary(&predicted_all, &actual_all);
+    let errors =
+        stats::error_summary(&predicted_all, &actual_all).unwrap_or_else(|e| panic!("{e}"));
     summary.row(&[
         predicted_all.len().to_string(),
         fmt(stats::pearson(&predicted_all, &actual_all).unwrap_or(0.0), 3),
@@ -192,7 +193,7 @@ pub fn emr(ctx: &Context) -> Vec<Table> {
         "Extension: EMR2S prediction accuracy (every 3rd workload)",
         &["config", "n", "pearson", "<=5%", "<=10%", "mean abs err"],
     );
-    let errors = stats::error_summary(&predicted, &actual);
+    let errors = stats::error_summary(&predicted, &actual).unwrap_or_else(|e| panic!("{e}"));
     table.row(&[
         format!("{} {}", platform.name(), device.name()),
         predicted.len().to_string(),

@@ -3,17 +3,17 @@
 //! ratio sweep.
 
 use crate::harness::{fmt, Context, Table};
-use camp_core::interleave::{InterleaveModel, DEFAULT_TAU};
 use camp_core::{stats, MeasuredComponents};
 
-use super::fig9::{sweep, DEVICE, PLATFORM, SWEEP_STEPS};
+use super::fig9::{profile, sweep, DEVICE, PLATFORM, SWEEP_STEPS};
 
 /// Runs Figure 13.
 pub fn run(ctx: &Context) -> Vec<Table> {
     let predictor = ctx.predictor(PLATFORM, DEVICE);
     let workload = camp_workloads::find("spec.603.bwaves-10t").expect("bwaves-10t in suite");
-    let model = InterleaveModel::profile(PLATFORM, DEVICE, &workload, &predictor, DEFAULT_TAU);
-    let (baseline, points) = sweep(&workload, SWEEP_STEPS);
+    let traced = ctx.traces().wrap(workload.as_ref());
+    let (baseline, points) = sweep(ctx, &traced, SWEEP_STEPS);
+    let model = profile(ctx, &traced, &predictor);
     let mut table = Table::new(
         "Figure 13: predicted vs actual slowdown under interleaving (spec.603.bwaves-10t)",
         &[
@@ -50,7 +50,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         "Figure 13: curve accuracy",
         &["profiling_runs", "pearson", "mean abs err", "max abs err"],
     );
-    let errors = stats::error_summary(&predicted, &actual);
+    let errors = stats::error_summary(&predicted, &actual).unwrap_or_else(|e| panic!("{e}"));
     let max_err = predicted.iter().zip(&actual).map(|(p, a)| (p - a).abs()).fold(0.0f64, f64::max);
     summary.row(&[
         model.profiling_runs.to_string(),

@@ -3,11 +3,11 @@
 //! ratios, (c) Best-shot performance vs the oracle optimum.
 
 use crate::harness::{fmt, Context, Table};
-use camp_core::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
+use camp_core::interleave::best_shot;
 use camp_core::stats;
 use camp_sim::Machine;
 
-use super::fig9::{sweep, DEVICE, PLATFORM, SWEEP_STEPS};
+use super::fig9::{profile, sweep, DEVICE, PLATFORM, SWEEP_STEPS};
 
 /// Runs Figure 14.
 pub fn run(ctx: &Context) -> Vec<Table> {
@@ -29,8 +29,8 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         // One shared trace feeds the profiling runs, the sweep and the
         // run at the predicted ratio.
         let traced = ctx.traces().wrap(workload.as_ref());
-        let model = InterleaveModel::profile(PLATFORM, DEVICE, &traced, &predictor, DEFAULT_TAU);
-        let (baseline, points) = sweep(&traced, SWEEP_STEPS);
+        let (baseline, points) = sweep(ctx, &traced, SWEEP_STEPS);
+        let model = profile(ctx, &traced, &predictor);
         // (a) misprediction across the sweep.
         for (x, report) in &points {
             let predicted = model.predict_total(*x);

@@ -9,11 +9,11 @@
 
 use crate::harness::{fmt, Context, Table};
 use camp_core::colocation::{place_and_run, run_colocated, ColocationPolicy};
-use camp_core::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
+use camp_core::interleave::best_shot;
 use camp_pmu::derived;
-use camp_sim::{Machine, Placement, Workload};
+use camp_sim::{Placement, Workload};
 
-use super::fig9::{DEVICE, PLATFORM};
+use super::fig9::{profile, DEVICE, PLATFORM};
 
 /// The three conflicting pairs of §6.3: in each, the *hotter* workload
 /// (higher MPKI) is the more latency-tolerant one, so MPKI-guided
@@ -107,11 +107,12 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         &["policy", "roms ratio", "roms perf", "xz perf", "combined"],
     );
     let roms = camp_workloads::find("spec.654.roms-8t").expect("roms in suite");
+    let roms = ctx.traces().wrap(roms.as_ref());
     let xz = camp_workloads::find("spec.557.xz-1t").expect("xz in suite");
-    let solo_roms = Machine::dram_only(PLATFORM).run(&roms);
-    let solo_xz = Machine::dram_only(PLATFORM).run(&xz);
-    let model = InterleaveModel::profile(PLATFORM, DEVICE, &roms, &predictor, DEFAULT_TAU);
-    let camp_ratio = best_shot(&model).ratio;
+    let xz = ctx.traces().wrap(xz.as_ref());
+    let solo_roms = ctx.run(PLATFORM, None, &roms);
+    let solo_xz = ctx.run(PLATFORM, None, &xz);
+    let camp_ratio = best_shot(&profile(ctx, &roms, &predictor)).ratio;
     let candidates: [(&str, f64); 4] = [
         ("Best-shot", camp_ratio),
         ("First-touch (all fast)", 1.0),
@@ -122,8 +123,8 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         let (roms_report, xz_report) = camp_core::colocation::run_colocated_with_placements(
             PLATFORM,
             DEVICE,
-            (roms.as_ref() as &dyn Workload, Placement::interleave_ratio(ratio)),
-            (xz.as_ref() as &dyn Workload, Placement::FastOnly),
+            (&roms, Placement::interleave_ratio(ratio)),
+            (&xz, Placement::FastOnly),
         );
         let roms_perf = solo_roms.cycles / roms_report.cycles;
         let xz_perf = solo_xz.cycles / xz_report.cycles;

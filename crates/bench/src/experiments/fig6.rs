@@ -32,7 +32,8 @@ pub fn run(ctx: &Context) -> Vec<Table> {
             ),
         ];
         for (name, predicted, actual) in components {
-            let errors = stats::error_summary(&predicted, &actual);
+            let errors =
+                stats::error_summary(&predicted, &actual).unwrap_or_else(|e| panic!("{e}"));
             summary.row(&[
                 format!("{} {}", platform.name(), device.name()),
                 name.to_string(),

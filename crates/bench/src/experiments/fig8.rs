@@ -91,7 +91,8 @@ fn time_series(ctx: &Context, workload: &dyn Workload, label: &str, tables: &mut
         &["epochs", "pearson", "mean abs err"],
     );
     let pearson = stats::pearson(&predicted_series, &actual_series).unwrap_or(0.0);
-    let errors = stats::error_summary(&predicted_series, &actual_series);
+    let errors =
+        stats::error_summary(&predicted_series, &actual_series).unwrap_or_else(|e| panic!("{e}"));
     summary.row(&[
         predicted_series.len().to_string(),
         fmt(pearson, 3),

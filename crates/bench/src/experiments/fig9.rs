@@ -9,9 +9,11 @@
 //!   8 threads (603.bwaves).
 
 use crate::harness::{fmt, Context, Table};
-use camp_core::{MeasuredComponents, Signature};
+use camp_core::interleave::{InterleaveModel, DEFAULT_TAU};
+use camp_core::{CampPredictor, MeasuredComponents, Signature};
 use camp_pmu::Event;
 use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
+use std::sync::Arc;
 
 /// Interleaving experiments run on the SKX testbed against CXL-A (whose
 /// 52:24 GB/s bandwidth split makes 8-thread streams saturate, matching
@@ -24,11 +26,16 @@ pub const DEVICE: DeviceKind = DeviceKind::CxlA;
 pub const SWEEP_STEPS: usize = 20;
 
 /// Runs the ratio sweep for one workload, returning
-/// `(x, interleaved report)` pairs plus the DRAM baseline. Pass a workload
-/// wrapped by [`camp_sim::TraceCache::wrap`] so the baseline and every
-/// ratio share one generated trace.
-pub fn sweep(workload: &dyn Workload, steps: usize) -> (RunReport, Vec<(f64, RunReport)>) {
-    let baseline = Machine::dram_only(PLATFORM).run(workload);
+/// `(x, interleaved report)` pairs plus the DRAM baseline, which comes
+/// from [`Context::run`]. Pass a workload wrapped by
+/// [`camp_sim::TraceCache::wrap`] so the baseline and every ratio share
+/// one generated trace.
+pub fn sweep(
+    ctx: &Context,
+    workload: &dyn Workload,
+    steps: usize,
+) -> (Arc<RunReport>, Vec<(f64, RunReport)>) {
+    let baseline = ctx.run(PLATFORM, None, workload);
     let sweep = (0..=steps)
         .map(|i| {
             let x = i as f64 / steps as f64;
@@ -37,6 +44,25 @@ pub fn sweep(workload: &dyn Workload, steps: usize) -> (RunReport, Vec<(f64, Run
         })
         .collect();
     (baseline, sweep)
+}
+
+/// Builds the interleaving model (the Figure 12 workflow) from the
+/// workload's memoized endpoint runs: the DRAM run from [`Context::run`],
+/// plus the slow-tier run for a bandwidth-bound workload only.
+///
+/// # Panics
+///
+/// Panics with the [`camp_core::ModelError`] diagnostic if the runs
+/// cannot be modelled.
+pub fn profile(
+    ctx: &Context,
+    workload: &dyn Workload,
+    predictor: &CampPredictor,
+) -> InterleaveModel {
+    let dram = ctx.run(PLATFORM, None, workload);
+    let slow = || ctx.run(PLATFORM, Some(DEVICE), workload);
+    InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU)
+        .unwrap_or_else(|error| panic!("{error}"))
 }
 
 /// Runs Figure 9.
@@ -50,7 +76,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
     let mut tables = Vec::new();
     for name in names {
         let workload = camp_workloads::find(name).expect("figure 9 workload in suite");
-        let (baseline, points) = sweep(&ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
+        let (baseline, points) = sweep(ctx, &ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
         let mut table = Table::new(
             format!("Figure 9: per-component slowdown vs ratio ({name})"),
             &["dram_fraction", "S_DRd", "S_Cache", "S_Store", "S_total"],
@@ -75,7 +101,7 @@ pub fn run_fig10(ctx: &Context) -> Vec<Table> {
     let mut tables = Vec::new();
     for name in ["spec.603.bwaves-2t", "spec.603.bwaves-8t"] {
         let workload = camp_workloads::find(name).expect("bwaves in suite");
-        let (baseline, points) = sweep(&ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
+        let (baseline, points) = sweep(ctx, &ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
         let base_sig = Signature::from_report(&baseline);
         let mut table = Table::new(
             format!("Figure 10: MLP invariance and ΔC estimate ({name})"),
@@ -99,7 +125,7 @@ pub fn run_fig11(ctx: &Context) -> Vec<Table> {
     let mut tables = Vec::new();
     for name in ["spec.603.bwaves-2t", "spec.603.bwaves-8t"] {
         let workload = camp_workloads::find(name).expect("bwaves in suite");
-        let (baseline, points) = sweep(&ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
+        let (baseline, points) = sweep(ctx, &ctx.traces().wrap(workload.as_ref()), SWEEP_STEPS);
         let mut table = Table::new(
             format!("Figure 11: tier latencies and slowdown ({name})"),
             &["dram_fraction", "L_dram", "L_cxl", "slowdown"],
@@ -118,4 +144,76 @@ pub fn run_fig11(ctx: &Context) -> Vec<Table> {
         tables.push(table);
     }
     tables
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use camp_core::interleave::Boundness;
+    use camp_core::Calibration;
+    use camp_sim::{Op, OpTrace};
+    use camp_workloads::kernels::{PointerChase, StreamKernel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts the simulations that bypass the [`Context`] memo: a direct
+    /// `Machine` run resolves the workload's own trace, while
+    /// [`Context::run`] finds it in the shared trace cache.
+    struct Counted<W> {
+        inner: W,
+        direct_runs: AtomicUsize,
+    }
+
+    impl<W: Workload> Workload for Counted<W> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn threads(&self) -> u32 {
+            self.inner.threads()
+        }
+        fn footprint_bytes(&self) -> u64 {
+            self.inner.footprint_bytes()
+        }
+        fn ops(&self) -> Box<dyn Iterator<Item = Op> + '_> {
+            self.inner.ops()
+        }
+        fn trace(&self) -> Arc<OpTrace> {
+            self.direct_runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.trace()
+        }
+    }
+
+    #[test]
+    fn profile_and_sweep_share_the_memoized_endpoint_runs() {
+        let probes: Vec<Box<dyn Workload>> = vec![
+            Box::new(PointerChase::new("calib.fig9-c1", 1, 1 << 16, 1, 5_000)),
+            Box::new(PointerChase::new("calib.fig9-c8", 1, 1 << 16, 8, 5_000)),
+        ];
+        let predictor = CampPredictor::new(Calibration::fit_with(PLATFORM, DEVICE, &probes));
+        let ctx = Context::new();
+        let stream = StreamKernel::new("fig9-test-stream", 8, 2, 1 << 16, 0, 0, 60_000);
+        let chase = PointerChase::new("fig9-test-chase", 1, 1 << 14, 1, 5_000);
+        for (workload, boundness, runs) in [
+            (&stream as &dyn Workload, Boundness::BandwidthBound, 2),
+            (&chase, Boundness::LatencyBound, 1),
+        ] {
+            let before = ctx.runs_executed();
+            let traced = Counted {
+                inner: ctx.traces().wrap(workload),
+                direct_runs: AtomicUsize::new(0),
+            };
+            let (baseline, _) = sweep(&ctx, &traced, 2);
+            let model = profile(&ctx, &traced, &predictor);
+            assert_eq!(model.boundness, boundness, "{}", workload.name());
+            assert_eq!(model.profiling_runs, runs);
+            assert_eq!(ctx.runs_executed() - before, runs as usize, "{}", workload.name());
+            assert_eq!(traced.direct_runs.into_inner(), 3, "only the three ratios run directly");
+            assert!(Arc::ptr_eq(&baseline, &ctx.run(PLATFORM, None, workload)));
+        }
+        // The stream's slow run is already memoized; the chase's never ran.
+        let executed = ctx.runs_executed();
+        ctx.run(PLATFORM, Some(DEVICE), &stream);
+        assert_eq!(ctx.runs_executed(), executed);
+        ctx.run(PLATFORM, Some(DEVICE), &chase);
+        assert_eq!(ctx.runs_executed(), executed + 1);
+    }
 }

@@ -55,7 +55,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         let predicted: Vec<f64> = rows.iter().map(|r| r.2).collect();
         let actual: Vec<f64> = rows.iter().map(|r| r.3.total).collect();
         let pearson = stats::pearson(&predicted, &actual).unwrap_or(0.0);
-        let errors = stats::error_summary(&predicted, &actual);
+        let errors = stats::error_summary(&predicted, &actual).unwrap_or_else(|e| panic!("{e}"));
         table.row(&[
             format!("{} {}", platform.name(), device.name()),
             fmt(pearson, 3),

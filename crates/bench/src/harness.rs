@@ -67,11 +67,12 @@ impl Context {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation rejects the configuration or dies mid-run;
-    /// the payload is enriched to name the platform, device, and workload,
-    /// so a failure surfacing through a parallel sweep is attributable. A
-    /// failed run leaves its memo entry empty (not wedged): later requests
-    /// for the same key retry, and other keys are unaffected.
+    /// Panics if the simulation rejects the configuration (see
+    /// [`Machine::validate`]); the message names the platform, device,
+    /// and workload, so a failure surfacing through a parallel sweep is
+    /// attributable. A failed run leaves its memo entry empty (not
+    /// wedged): later requests for the same key retry, and other keys are
+    /// unaffected.
     pub fn run(
         &self,
         platform: Platform,
@@ -96,9 +97,9 @@ impl Context {
             // Route through the shared trace cache: the op stream is
             // generated once per workload, not once per endpoint run.
             let traced = self.traces.wrap(workload);
-            let attempt =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.run(&traced)));
-            match attempt {
+            // `try_run` validates first; once validation passes no engine
+            // assertion can fire, so there is no panic to catch here.
+            match machine.try_run(&traced) {
                 Ok(report) => {
                     span.attr("cycles", report.cycles);
                     span.attr("instructions", report.instructions);
@@ -106,13 +107,12 @@ impl Context {
                     self.note_report_anomalies(&span_name, &report);
                     report
                 }
-                Err(payload) => {
+                Err(error) => {
                     span.attr("ok", false);
                     panic!(
                         "endpoint run failed (platform {platform}, device {device_label}, \
-                         workload '{}'): {}",
+                         workload '{}'): invalid machine configuration: {error}",
                         workload.name(),
-                        crate::panic_detail(payload.as_ref())
                     );
                 }
             }

@@ -1,19 +1,18 @@
 //! Typed model errors.
 //!
 //! The CAMP models consume measured run reports and sample series; any of
-//! them can be degenerate (a run that never touched memory, a NaN from an
-//! upstream division, an empty sample set). [`ModelError`] names the
-//! offending workload/series/value so a failure deep inside a 265-workload
-//! sweep is attributable without a debugger. The fallible entry points —
-//! [`Calibration::from_probe_runs`], [`InterleaveModel::try_profile`],
-//! [`stats::try_error_summary`] — return these; the legacy panicking APIs
-//! remain as thin wrappers.
+//! them can be degenerate (a NaN from an upstream division, an empty
+//! sample set, a "slow" run that never touched a slow tier).
+//! [`ModelError`] names the offending workload/series/value so a failure
+//! deep inside a 265-workload sweep is attributable without a debugger.
+//! The model entry points — [`Calibration::from_probe_runs`],
+//! [`InterleaveModel::profile`], [`stats::error_summary`] — return these.
+//! None of them simulates: each is a pure function of the runs or samples
+//! its caller passes in.
 //!
 //! [`Calibration::from_probe_runs`]: crate::calibration::Calibration::from_probe_runs
-//! [`InterleaveModel::try_profile`]: crate::interleave::InterleaveModel::try_profile
-//! [`stats::try_error_summary`]: crate::stats::try_error_summary
-
-use camp_sim::SimError;
+//! [`InterleaveModel::profile`]: crate::interleave::InterleaveModel::profile
+//! [`stats::error_summary`]: crate::stats::error_summary
 
 /// A degenerate model input, detected at construction/fit time.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,14 +22,6 @@ pub enum ModelError {
     MissingSlowTier {
         /// Workload whose run is missing the tier.
         workload: String,
-    },
-    /// A run is too degenerate to classify or model (e.g. a DRAM run that
-    /// served no demand reads, so no loaded latency exists).
-    DegenerateRun {
-        /// Workload whose run is degenerate.
-        workload: String,
-        /// What makes it degenerate.
-        reason: &'static str,
     },
     /// A counter-derived signature field is NaN or infinite.
     NonFiniteSignature {
@@ -72,14 +63,6 @@ pub enum ModelError {
     },
     /// Calibration was requested with no probe workloads.
     NoProbes,
-    /// An underlying simulation run was rejected.
-    Sim(SimError),
-}
-
-impl From<SimError> for ModelError {
-    fn from(error: SimError) -> Self {
-        ModelError::Sim(error)
-    }
 }
 
 impl std::fmt::Display for ModelError {
@@ -87,9 +70,6 @@ impl std::fmt::Display for ModelError {
         match self {
             ModelError::MissingSlowTier { workload } => {
                 write!(f, "endpoint run of '{workload}' has no slow tier")
-            }
-            ModelError::DegenerateRun { workload, reason } => {
-                write!(f, "degenerate run of '{workload}': {reason}")
             }
             ModelError::NonFiniteSignature { workload, field, value } => {
                 write!(f, "signature of '{workload}' has non-finite {field}: {value}")
@@ -111,16 +91,8 @@ impl std::fmt::Display for ModelError {
                 write!(f, "paired series have mismatched lengths: {left} vs {right}")
             }
             ModelError::NoProbes => write!(f, "calibration needs at least one probe workload"),
-            ModelError::Sim(error) => write!(f, "simulation rejected: {error}"),
         }
     }
 }
 
-impl std::error::Error for ModelError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ModelError::Sim(error) => Some(error),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for ModelError {}

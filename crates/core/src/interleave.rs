@@ -19,7 +19,8 @@
 use crate::error::ModelError;
 use crate::model::{CampPredictor, SlowdownPrediction};
 use crate::signature::Signature;
-use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
+use camp_sim::RunReport;
+use std::borrow::Borrow;
 
 /// Default classification tolerance `τ` (§5.3): a workload is
 /// bandwidth-bound when its loaded DRAM latency exceeds the unloaded
@@ -38,40 +39,19 @@ pub enum Boundness {
 
 /// Classifies a DRAM run by comparing the memory-controller-level loaded
 /// read latency against the device's unloaded latency (the `τ` test of
-/// §5.3), rejecting runs too degenerate to classify: a run whose DRAM
-/// controller served **no demand reads** has no loaded latency, so the τ
-/// test is meaningless (and silently calling such a run latency-bound
-/// would hide cache-resident or store-only workloads from the two-run
-/// workflow).
-pub fn try_classify(dram: &RunReport, tau: f64) -> Result<Boundness, ModelError> {
-    let idle = dram.fast_tier.idle_latency_cycles;
-    let Some(loaded) = dram.fast_tier.avg_read_latency() else {
-        return Err(ModelError::DegenerateRun {
-            workload: dram.workload.clone(),
-            reason: "DRAM run served no demand reads, so no loaded latency exists to classify",
-        });
-    };
-    if !loaded.is_finite() || !idle.is_finite() {
-        return Err(ModelError::NonFiniteSignature {
-            workload: dram.workload.clone(),
-            field: "loaded_latency",
-            value: if loaded.is_finite() { idle } else { loaded },
-        });
-    }
-    if loaded > idle * (1.0 + tau) {
-        Ok(Boundness::BandwidthBound)
-    } else {
-        Ok(Boundness::LatencyBound)
-    }
-}
-
-/// Infallible wrapper around [`try_classify`] with a documented policy for
-/// degenerate runs: a run that served no demand reads cannot saturate a
-/// memory tier, so it is classified [`Boundness::LatencyBound`] (the
-/// one-run workflow — which is also the cheap path, appropriate for a
-/// workload that barely touches memory).
+/// §5.3). A run is [`Boundness::BandwidthBound`] only when its loaded
+/// latency exists, both latencies are finite, and loaded exceeds idle by
+/// more than `tau`. Every other run takes the one-run workflow: a run
+/// whose DRAM controller served no demand reads cannot saturate a memory
+/// tier, and the cheap path suits a workload that barely touches memory.
 pub fn classify(dram: &RunReport, tau: f64) -> Boundness {
-    try_classify(dram, tau).unwrap_or(Boundness::LatencyBound)
+    let idle = dram.fast_tier.idle_latency_cycles;
+    match dram.fast_tier.avg_read_latency() {
+        Some(loaded) if loaded.is_finite() && idle.is_finite() && loaded > idle * (1.0 + tau) => {
+            Boundness::BandwidthBound
+        }
+        _ => Boundness::LatencyBound,
+    }
 }
 
 /// Per-component endpoint stall cycles (`s_LLC`, `s_Cache`, `s_SB` of one
@@ -325,58 +305,25 @@ impl InterleaveModel {
         }
     }
 
-    /// Runs the Figure 12 profiling workflow for `workload` — classify the
-    /// DRAM run with tolerance `tau`, then take the one- or two-run path —
-    /// returning every failure (invalid machine configuration, degenerate
-    /// or non-finite runs) as a typed error instead of panicking. No
-    /// `expect`/`assert!` is reachable from here on invalid input: the
-    /// simulations go through [`Machine::try_run`], the two-run model
-    /// through [`InterleaveModel::try_from_endpoint_runs`], and the one-run
-    /// model is built only from a DRAM signature that passed
-    /// [`Signature::check`].
-    pub fn try_profile(
-        platform: Platform,
-        device: DeviceKind,
-        workload: &dyn Workload,
+    /// Runs the Figure 12 profiling workflow over endpoint runs the caller
+    /// already holds: classify the DRAM run with tolerance `tau`, then
+    /// take the one-run path (the DRAM signature, checked, through
+    /// [`InterleaveModel::from_dram_run`]) or the two-run path
+    /// ([`InterleaveModel::try_from_endpoint_runs`]). `slow` yields the
+    /// run on the slow tier; it is called only for a bandwidth-bound
+    /// workload, and at most once. Nothing here simulates.
+    pub fn profile<R: Borrow<RunReport>>(
+        dram: &RunReport,
+        slow: impl FnOnce() -> R,
         predictor: &CampPredictor,
         tau: f64,
     ) -> Result<Self, ModelError> {
-        let dram = Machine::dram_only(platform).try_run(workload)?;
-        match try_classify(&dram, tau)? {
+        match classify(dram, tau) {
             Boundness::LatencyBound => {
-                Signature::from_report(&dram).check(&dram.workload)?;
-                Ok(Self::from_dram_run(&dram, predictor))
+                Signature::from_report(dram).check(&dram.workload)?;
+                Ok(Self::from_dram_run(dram, predictor))
             }
-            Boundness::BandwidthBound => {
-                let slow = Machine::slow_only(platform, device).try_run(workload)?;
-                Self::try_from_endpoint_runs(&dram, &slow)
-            }
-        }
-    }
-
-    /// Panicking wrapper around [`InterleaveModel::try_profile`]. The
-    /// degenerate-run classification failure is mapped to the documented
-    /// [`classify`] policy (latency-bound, one-run path) rather than a
-    /// panic, matching the historical behaviour of this entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ModelError`] diagnostic on invalid machine
-    /// configurations or non-finite signatures.
-    pub fn profile(
-        platform: Platform,
-        device: DeviceKind,
-        workload: &dyn Workload,
-        predictor: &CampPredictor,
-        tau: f64,
-    ) -> Self {
-        match Self::try_profile(platform, device, workload, predictor, tau) {
-            Ok(model) => model,
-            Err(ModelError::DegenerateRun { .. }) => {
-                let dram = Machine::dram_only(platform).run(workload);
-                Self::from_dram_run(&dram, predictor)
-            }
-            Err(error) => panic!("{error}"),
+            Boundness::BandwidthBound => Self::try_from_endpoint_runs(dram, slow().borrow()),
         }
     }
 
@@ -448,6 +395,7 @@ pub fn best_shot(model: &InterleaveModel) -> BestShot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camp_sim::{DeviceKind, Machine, Platform};
 
     fn endpoint(idle: f64, full: f64, llc: f64) -> TierEndpoint {
         TierEndpoint::new(idle, full, ComponentStalls { llc, cache: 0.0, sb: 0.0 })
@@ -602,25 +550,51 @@ mod tests {
         }
     }
 
+    fn synthetic_predictor() -> CampPredictor {
+        CampPredictor::new(crate::calibration::Calibration {
+            platform: Platform::Spr2s,
+            device: DeviceKind::CxlA,
+            hyperbola: crate::stats::Hyperbola { p: 1.2, q: 40.0 },
+            k_drd: 1.5,
+            k_drd_aol: 1.5,
+            l3_hit_latency: 52.0,
+            k_cache: 2.0,
+            k_store: 0.8,
+            dram_idle_latency: 239.4,
+            slow_idle_latency: 449.4,
+            samples: 0,
+        })
+    }
+
+    fn no_slow_run() -> RunReport {
+        panic!("a latency-bound profile must not request the slow-tier run")
+    }
+
     #[test]
-    fn degenerate_run_without_demand_reads_is_a_typed_error() {
+    fn runs_without_a_finite_loaded_latency_take_the_one_run_path() {
         // Zero demand reads: no loaded latency exists, so the τ test is
-        // meaningless. try_classify surfaces it; classify falls back to
-        // the documented latency-bound policy.
-        let report = synthetic_report(0, 0.0);
-        let error = try_classify(&report, DEFAULT_TAU).unwrap_err();
-        assert_eq!(
-            error,
-            ModelError::DegenerateRun {
-                workload: "synthetic".into(),
-                reason: "DRAM run served no demand reads, so no loaded latency exists to classify",
-            }
-        );
-        assert!(error.to_string().contains("'synthetic'"));
-        assert_eq!(classify(&report, DEFAULT_TAU), Boundness::LatencyBound);
-        // A run with demand reads still classifies normally.
+        // meaningless and the run cannot have saturated DRAM. A NaN or
+        // infinite latency is not bandwidth-bound either.
+        let predictor = synthetic_predictor();
+        for report in [
+            synthetic_report(0, 0.0),
+            synthetic_report(10, f64::NAN),
+            synthetic_report(10, f64::INFINITY),
+        ] {
+            assert_eq!(classify(&report, DEFAULT_TAU), Boundness::LatencyBound);
+            let model = InterleaveModel::profile(&report, no_slow_run, &predictor, DEFAULT_TAU)
+                .expect("one-run model");
+            assert_eq!(model, InterleaveModel::from_dram_run(&report, &predictor));
+            assert_eq!(model.profiling_runs, 1);
+        }
+        let mut idle_nan = synthetic_report(10, 10.0 * 600.0);
+        idle_nan.fast_tier.idle_latency_cycles = f64::NAN;
+        assert_eq!(classify(&idle_nan, DEFAULT_TAU), Boundness::LatencyBound);
+        // A run with demand reads still classifies on its loaded latency.
         let loaded = synthetic_report(10, 10.0 * 600.0);
-        assert_eq!(try_classify(&loaded, DEFAULT_TAU), Ok(Boundness::BandwidthBound));
+        assert_eq!(classify(&loaded, DEFAULT_TAU), Boundness::BandwidthBound);
+        let unloaded = synthetic_report(10, 10.0 * 250.0);
+        assert_eq!(classify(&unloaded, DEFAULT_TAU), Boundness::LatencyBound);
     }
 
     #[test]
@@ -628,6 +602,18 @@ mod tests {
         let dram = synthetic_report(10, 10.0 * 250.0);
         let error = InterleaveModel::try_from_endpoint_runs(&dram, &dram).unwrap_err();
         assert_eq!(error, ModelError::MissingSlowTier { workload: "synthetic".into() });
+        // A bandwidth-bound profile asks for the slow run exactly once and
+        // rejects one that never ran on a slow tier.
+        let loaded = synthetic_report(10, 10.0 * 600.0);
+        let mut calls = 0;
+        let slow = || {
+            calls += 1;
+            dram.clone()
+        };
+        let error = InterleaveModel::profile(&loaded, slow, &synthetic_predictor(), DEFAULT_TAU)
+            .unwrap_err();
+        assert_eq!(error, ModelError::MissingSlowTier { workload: "synthetic".into() });
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -3,13 +3,8 @@
 //! Everything here is small, closed-form and dependency-free: Pearson
 //! correlation (the headline metric of Tables 1 and 6), ordinary and
 //! through-origin least squares, the linearised hyperbolic fit of §4.1.2,
-//! and error-distribution summaries (CDFs, within-threshold shares).
-//!
-//! The distribution summaries come in two flavours: fallible entry points
-//! ([`try_error_summary`], [`try_cdf`]) that reject NaN/∞ samples with a
-//! [`ModelError`] naming the offending series and index, and the legacy
-//! panicking wrappers ([`error_summary`], [`cdf`]) that carry the same
-//! diagnostic in their panic message.
+//! and an error-distribution summary that rejects NaN/∞ samples with a
+//! [`ModelError`] naming the offending series and index.
 
 use crate::error::ModelError;
 
@@ -254,7 +249,7 @@ pub struct ErrorSummary {
 /// in fractional-slowdown units, so 0.05 = 5 percentage points), rejecting
 /// empty, mismatched or non-finite inputs with a [`ModelError`] that names
 /// the offending series (`"predicted"` / `"actual"`) and sample index.
-pub fn try_error_summary(predicted: &[f64], actual: &[f64]) -> Result<ErrorSummary, ModelError> {
+pub fn error_summary(predicted: &[f64], actual: &[f64]) -> Result<ErrorSummary, ModelError> {
     if predicted.len() != actual.len() {
         return Err(ModelError::MismatchedSeries { left: predicted.len(), right: actual.len() });
     }
@@ -277,17 +272,6 @@ pub fn try_error_summary(predicted: &[f64], actual: &[f64]) -> Result<ErrorSumma
     })
 }
 
-/// Panicking wrapper around [`try_error_summary`] for call sites that
-/// treat degenerate inputs as programming errors.
-///
-/// # Panics
-///
-/// Panics with the [`ModelError`] diagnostic (naming the offending series
-/// and index) on mismatched, empty or non-finite inputs.
-pub fn error_summary(predicted: &[f64], actual: &[f64]) -> ErrorSummary {
-    try_error_summary(predicted, actual).unwrap_or_else(|error| panic!("{error}"))
-}
-
 /// Quantile of an ascending-sorted sample with linear interpolation.
 ///
 /// # Panics
@@ -304,31 +288,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
-/// Empirical CDF points `(value, cumulative fraction)` for plotting
-/// (Figures 4, 6, 14), rejecting NaN/∞ samples with a [`ModelError`] that
-/// names the offending index. An empty input yields an empty CDF.
-pub fn try_cdf(values: &[f64]) -> Result<Vec<(f64, f64)>, ModelError> {
-    check_finite("values", values)?;
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    Ok(sorted
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, (i + 1) as f64 / n as f64))
-        .collect())
-}
-
-/// Panicking wrapper around [`try_cdf`].
-///
-/// # Panics
-///
-/// Panics with the [`ModelError`] diagnostic (naming the offending index
-/// and value) if any sample is NaN or infinite.
-pub fn cdf(values: &[f64]) -> Vec<(f64, f64)> {
-    try_cdf(values).unwrap_or_else(|error| panic!("{error}"))
 }
 
 #[cfg(test)]
@@ -400,7 +359,7 @@ mod tests {
     fn error_summary_thresholds() {
         let predicted = [0.10, 0.20, 0.50, 1.00];
         let actual = [0.12, 0.21, 0.58, 1.30];
-        let s = error_summary(&predicted, &actual);
+        let s = error_summary(&predicted, &actual).unwrap();
         assert_eq!(s.count, 4);
         assert_eq!(s.within_5pct, 0.5); // 0.02 and 0.01
         assert_eq!(s.within_10pct, 0.75); // plus 0.08
@@ -409,39 +368,26 @@ mod tests {
 
     #[test]
     fn error_summary_diagnoses_the_offending_series() {
-        let nan_actual = try_error_summary(&[0.1, 0.2], &[0.1, f64::NAN]).unwrap_err();
+        let nan_actual = error_summary(&[0.1, 0.2], &[0.1, f64::NAN]).unwrap_err();
         assert!(matches!(
             nan_actual,
             ModelError::NonFiniteSample { series: "actual", index: 1, value } if value.is_nan()
         ));
         assert!(nan_actual.to_string().contains("'actual'"));
         assert!(nan_actual.to_string().contains("index 1"));
-        let inf_predicted = try_error_summary(&[f64::INFINITY], &[0.1]).unwrap_err();
+        let inf_predicted = error_summary(&[f64::INFINITY], &[0.1]).unwrap_err();
         assert!(matches!(
             inf_predicted,
             ModelError::NonFiniteSample { series: "predicted", index: 0, .. }
         ));
         assert_eq!(
-            try_error_summary(&[], &[]).unwrap_err(),
+            error_summary(&[], &[]).unwrap_err(),
             ModelError::EmptySeries { series: "predicted" }
         );
         assert_eq!(
-            try_error_summary(&[1.0], &[1.0, 2.0]).unwrap_err(),
+            error_summary(&[1.0], &[1.0, 2.0]).unwrap_err(),
             ModelError::MismatchedSeries { left: 1, right: 2 }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "series 'actual'")]
-    fn error_summary_panic_names_the_series() {
-        let _ = error_summary(&[0.1], &[f64::NAN]);
-    }
-
-    #[test]
-    fn cdf_rejects_nan_with_index() {
-        let error = try_cdf(&[1.0, f64::NAN, 3.0]).unwrap_err();
-        assert!(matches!(error, ModelError::NonFiniteSample { series: "values", index: 1, .. }));
-        assert!(try_cdf(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -450,17 +396,5 @@ mod tests {
         assert_eq!(quantile_sorted(&sorted, 0.0), 1.0);
         assert_eq!(quantile_sorted(&sorted, 1.0), 4.0);
         assert_eq!(quantile_sorted(&sorted, 0.5), 2.5);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let points = cdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0], (1.0, 1.0 / 3.0));
-        assert_eq!(points[2], (3.0, 1.0));
-        for pair in points.windows(2) {
-            assert!(pair[0].0 <= pair[1].0);
-            assert!(pair[0].1 <= pair[1].1);
-        }
     }
 }

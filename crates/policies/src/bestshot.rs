@@ -4,7 +4,7 @@
 
 use crate::policy::{PolicyContext, TieringPolicy};
 use camp_core::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
-use camp_sim::{Placement, Workload};
+use camp_sim::{Machine, Placement, Workload};
 use std::cell::Cell;
 
 /// The Best-shot policy: synthesize the interleaving curve from 1–2
@@ -42,12 +42,16 @@ impl TieringPolicy for BestShotPolicy {
 
     /// # Panics
     ///
-    /// Panics if the context has no calibrated predictor.
+    /// Panics if the context has no calibrated predictor, or with the
+    /// [`camp_core::ModelError`] diagnostic if the profiling runs cannot
+    /// be modelled.
     fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
         let predictor =
             ctx.predictor.expect("Best-shot requires a calibrated predictor in the context");
-        let model =
-            InterleaveModel::profile(ctx.platform, ctx.device, workload, predictor, DEFAULT_TAU);
+        let dram = Machine::dram_only(ctx.platform).run(workload);
+        let slow = || Machine::slow_only(ctx.platform, ctx.device).run(workload);
+        let model = InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU)
+            .unwrap_or_else(|error| panic!("{error}"));
         self.runs_used.set(model.profiling_runs);
         let choice = best_shot(&model);
         self.last_ratio.set(choice.ratio);

@@ -11,7 +11,7 @@
 
 use crate::policy::{PolicyContext, TieringPolicy};
 use camp_core::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
-use camp_sim::{Op, Placement, Workload, PAGE_BYTES};
+use camp_sim::{Machine, Op, Placement, Workload, PAGE_BYTES};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
@@ -38,7 +38,9 @@ impl TieringPolicy for HybridCamp {
 
     /// # Panics
     ///
-    /// Panics if the context has no calibrated predictor.
+    /// Panics if the context has no calibrated predictor, or with the
+    /// [`camp_core::ModelError`] diagnostic if the profiling runs cannot
+    /// be modelled.
     fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
         let predictor = ctx
             .predictor
@@ -73,8 +75,10 @@ impl TieringPolicy for HybridCamp {
             hot_accesses += accesses;
         }
         // Best-shot ratio for the cold remainder.
-        let model =
-            InterleaveModel::profile(ctx.platform, ctx.device, workload, predictor, DEFAULT_TAU);
+        let dram = Machine::dram_only(ctx.platform).run_trace(workload, &trace);
+        let slow = || Machine::slow_only(ctx.platform, ctx.device).run_trace(workload, &trace);
+        let model = InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU)
+            .unwrap_or_else(|error| panic!("{error}"));
         self.runs_used.set(model.profiling_runs + 1);
         let ratio = best_shot(&model).ratio;
         let total_pages = pages.len() as u64;

@@ -27,7 +27,9 @@ fn main() {
         dram.fast_tier.idle_latency_cycles
     );
 
-    let model = InterleaveModel::profile(platform, device, &workload, &predictor, DEFAULT_TAU);
+    let slow = || Machine::slow_only(platform, device).run(&workload);
+    let model = InterleaveModel::profile(&dram, slow, &predictor, DEFAULT_TAU)
+        .unwrap_or_else(|error| panic!("{error}"));
     println!("profiling runs used: {}", model.profiling_runs);
     println!("\nsynthesized performance curve (DRAM fraction -> predicted slowdown):");
     for (x, slowdown) in model.curve(10) {

@@ -112,13 +112,10 @@ fn cmd_bestshot(options: &Options) -> Result<(), String> {
     let workload = find_workload(name)?;
     eprintln!("calibrating for {} + {}...", options.platform, options.device);
     let predictor = CampPredictor::new(Calibration::fit(options.platform, options.device));
-    let model = InterleaveModel::profile(
-        options.platform,
-        options.device,
-        &workload,
-        &predictor,
-        DEFAULT_TAU,
-    );
+    let dram = Machine::dram_only(options.platform).run(&workload);
+    let slow = || Machine::slow_only(options.platform, options.device).run(&workload);
+    let model = InterleaveModel::profile(&dram, slow, &predictor, DEFAULT_TAU)
+        .map_err(|error| error.to_string())?;
     println!(
         "classification : {:?} ({} profiling run(s))",
         model.boundness, model.profiling_runs
@@ -135,10 +132,9 @@ fn cmd_bestshot(options: &Options) -> Result<(), String> {
         choice.predicted_slowdown * 100.0
     );
     if options.validate {
-        let baseline = Machine::dram_only(options.platform).run(&workload);
         let chosen =
             Machine::interleaved(options.platform, options.device, choice.ratio).run(&workload);
-        println!("measured       : {:+.1}%", chosen.slowdown_vs(&baseline) * 100.0);
+        println!("measured       : {:+.1}%", chosen.slowdown_vs(&dram) * 100.0);
     }
     Ok(())
 }

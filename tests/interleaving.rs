@@ -25,7 +25,8 @@ fn bandwidth_bound_stream_classifies_and_bathtubs() {
     let dram = Machine::dram_only(PLATFORM).run(&workload);
     assert_eq!(classify(&dram, DEFAULT_TAU), Boundness::BandwidthBound);
 
-    let model = InterleaveModel::profile(PLATFORM, DEVICE, &workload, predictor, DEFAULT_TAU);
+    let slow = || Machine::slow_only(PLATFORM, DEVICE).run(&workload);
+    let model = InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU).expect("profiled");
     assert_eq!(model.profiling_runs, 2);
     let choice = best_shot(&model);
     assert!(
@@ -52,7 +53,8 @@ fn latency_bound_chase_classifies_and_stays_on_dram() {
     let dram = Machine::dram_only(PLATFORM).run(&workload);
     assert_eq!(classify(&dram, DEFAULT_TAU), Boundness::LatencyBound);
 
-    let model = InterleaveModel::profile(PLATFORM, DEVICE, &workload, predictor, DEFAULT_TAU);
+    let slow = || Machine::slow_only(PLATFORM, DEVICE).run(&workload);
+    let model = InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU).expect("profiled");
     assert_eq!(model.profiling_runs, 1, "latency-bound path needs one run");
     let choice = best_shot(&model);
     assert_eq!(choice.ratio, 1.0, "nothing to gain from the slow tier");
@@ -67,8 +69,10 @@ fn latency_bound_chase_classifies_and_stays_on_dram() {
 fn synthesized_curve_tracks_measurement() {
     let predictor = predictor();
     let workload = camp::workloads::find("spec.654.roms-8t").expect("in suite");
-    let model = InterleaveModel::profile(PLATFORM, DEVICE, &workload, predictor, DEFAULT_TAU);
     let baseline = Machine::dram_only(PLATFORM).run(&workload);
+    let slow = || Machine::slow_only(PLATFORM, DEVICE).run(&workload);
+    let model =
+        InterleaveModel::profile(&baseline, slow, predictor, DEFAULT_TAU).expect("profiled");
     let mut max_err = 0.0f64;
     for i in 0..=5 {
         let x = i as f64 / 5.0;

@@ -97,7 +97,8 @@ fn cxl_a_prediction_correlates_strongly() {
     let eval = evaluate(spr_cxl_runs(), spr_cxl_predictor());
     let pearson = stats::pearson(&eval.predicted, &eval.actual).expect("variance present");
     assert!(pearson > 0.9, "CXL-A pearson {pearson}");
-    let errors = stats::error_summary(&eval.predicted, &eval.actual);
+    let errors =
+        stats::error_summary(&eval.predicted, &eval.actual).unwrap_or_else(|e| panic!("{e}"));
     // The sample's slowdowns reach 4-7x, so a 10-percentage-point bar is
     // strict; half the sample within it is the regression gate.
     assert!(errors.within_10pct >= 0.45, "CXL-A within-10pct share {}", errors.within_10pct);
@@ -114,7 +115,8 @@ fn numa_prediction_correlates_strongly() {
     // that expose stalls on the slower tier) as a larger relative share of
     // total slowdown — see EXPERIMENTS.md's misprediction analysis.
     assert!(pearson > 0.72, "NUMA pearson {pearson}");
-    let errors = stats::error_summary(&eval.predicted, &eval.actual);
+    let errors =
+        stats::error_summary(&eval.predicted, &eval.actual).unwrap_or_else(|e| panic!("{e}"));
     assert!(errors.within_10pct > 0.55, "NUMA within-10pct share {}", errors.within_10pct);
     assert_pinned("NUMA", "pearson", pearson, SCORES_NUMA.0);
     assert_pinned("NUMA", "within-10pct share", errors.within_10pct, SCORES_NUMA.1);
