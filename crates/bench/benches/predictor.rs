@@ -29,6 +29,12 @@ fn prediction_path(harness: &mut tb::Harness) {
     harness.bench("signature-extraction", 10, 1_000, || Signature::from_report(&report));
     harness.bench("slowdown-prediction", 10, 1_000, || predictor.predict(&report.counters));
     harness.bench("saturated-prediction", 10, 1_000, || predictor.predict_total_saturated(&report));
+    // The daemon's path: a latency-bound model from a bare signature,
+    // both tiers at their unloaded latency.
+    let signature = Signature::from_report(&report);
+    let model = InterleaveModel::try_from_signature(&signature, &predictor, "bench")
+        .expect("finite signature");
+    harness.bench("best-shot-latency-bound", 10, 100, || best_shot(&model));
 }
 
 fn interleave_path(harness: &mut tb::Harness) {

@@ -155,16 +155,104 @@ impl TierEndpoint {
     /// Eq. 8: per-tier latency when the tier serves load share
     /// `x' ∈ [0, 1]`.
     pub fn latency(&self, x_prime: f64) -> f64 {
-        let contention = (self.full_latency - self.idle_latency).max(0.0);
-        self.idle_latency + contention * x_prime.max(0.0).powf(self.exponent())
+        TierCurve::new(self).latency(x_prime)
     }
 
     /// Eq. 9: the load scaling factor `M(x') = x'·L(x') / L_full`.
     pub fn load_scale(&self, x_prime: f64) -> f64 {
-        if self.full_latency <= 0.0 {
+        TierCurve::new(self).load_scale(x_prime)
+    }
+}
+
+/// One tier's Eq. 8–9 constants, derived from a [`TierEndpoint`] once per
+/// evaluation so a sweep over ratios does not re-derive them per point.
+/// Every public evaluation goes through here.
+struct TierCurve {
+    idle: f64,
+    /// `(L_full − L_idle).max(0)`: never NaN.
+    contention: f64,
+    /// The curve's exponent: NaN or in `[1, 3]`.
+    exponent: f64,
+    /// Eq. 9's denominator, `L_full.max(L_idle)`.
+    full: f64,
+    /// `L_full ≤ 0`: Eq. 9 has no meaningful normalisation, so `M(x') = x'`.
+    identity: bool,
+    /// No contention and a non-NaN exponent: `L(x') = L_idle + contention`
+    /// for every load share in `[+0, 1]`.
+    flat: bool,
+}
+
+impl TierCurve {
+    fn new(tier: &TierEndpoint) -> Self {
+        let contention = (tier.full_latency - tier.idle_latency).max(0.0);
+        let exponent = tier.exponent();
+        TierCurve {
+            idle: tier.idle_latency,
+            contention,
+            exponent,
+            full: tier.full_latency.max(tier.idle_latency),
+            identity: tier.full_latency <= 0.0,
+            flat: contention == 0.0 && !exponent.is_nan(),
+        }
+    }
+
+    fn latency(&self, x_prime: f64) -> f64 {
+        let load = x_prime.max(0.0);
+        // For a sign-positive load ≤ 1 and an exponent in [1, 3], `powf`
+        // is a finite non-negative number, so a zero contention times it
+        // is that same zero: skipping the call keeps every bit. (`f64::max`
+        // may return either zero, hence the sign test; a load of +∞ or a
+        // NaN exponent would make the product NaN.)
+        if self.flat && load.is_sign_positive() && load <= 1.0 {
+            return self.idle + self.contention;
+        }
+        self.idle + self.contention * load.powf(self.exponent)
+    }
+
+    fn load_scale(&self, x_prime: f64) -> f64 {
+        if self.identity {
             return x_prime;
         }
-        x_prime * self.latency(x_prime) / self.full_latency.max(self.idle_latency)
+        x_prime * self.latency(x_prime) / self.full
+    }
+}
+
+/// A model's Eq. 10 evaluator: both tiers' constants plus the endpoint
+/// stalls and the normalisation, built once per public call.
+struct ModelCurve {
+    dram: TierCurve,
+    slow: TierCurve,
+    dram_stalls: ComponentStalls,
+    slow_stalls: ComponentStalls,
+    c: f64,
+}
+
+impl ModelCurve {
+    fn new(model: &InterleaveModel) -> Self {
+        ModelCurve {
+            dram: TierCurve::new(&model.dram),
+            slow: TierCurve::new(&model.slow),
+            dram_stalls: model.dram.stalls,
+            slow_stalls: model.slow.stalls,
+            c: model.baseline_cycles.max(1.0),
+        }
+    }
+
+    fn components(&self, x: f64) -> SlowdownPrediction {
+        assert!((0.0..=1.0).contains(&x), "ratio must be in [0,1]");
+        let m_fast = self.dram.load_scale(x);
+        let m_slow = self.slow.load_scale(1.0 - x);
+        let combine =
+            |s_dram: f64, s_slow: f64| (m_fast * s_dram + m_slow * s_slow - s_dram) / self.c;
+        SlowdownPrediction {
+            drd: combine(self.dram_stalls.llc, self.slow_stalls.llc),
+            cache: combine(self.dram_stalls.cache, self.slow_stalls.cache),
+            store: combine(self.dram_stalls.sb, self.slow_stalls.sb),
+        }
+    }
+
+    fn total(&self, x: f64) -> f64 {
+        self.components(x).total()
     }
 }
 
@@ -334,30 +422,22 @@ impl InterleaveModel {
     ///
     /// Panics if `x` is outside `[0, 1]`.
     pub fn predict_components(&self, x: f64) -> SlowdownPrediction {
-        assert!((0.0..=1.0).contains(&x), "ratio must be in [0,1]");
-        let c = self.baseline_cycles.max(1.0);
-        let m_fast = self.dram.load_scale(x);
-        let m_slow = self.slow.load_scale(1.0 - x);
-        let combine = |s_dram: f64, s_slow: f64| (m_fast * s_dram + m_slow * s_slow - s_dram) / c;
-        SlowdownPrediction {
-            drd: combine(self.dram.stalls.llc, self.slow.stalls.llc),
-            cache: combine(self.dram.stalls.cache, self.slow.stalls.cache),
-            store: combine(self.dram.stalls.sb, self.slow.stalls.sb),
-        }
+        ModelCurve::new(self).components(x)
     }
 
     /// Total predicted slowdown at ratio `x`.
     pub fn predict_total(&self, x: f64) -> f64 {
-        self.predict_components(x).total()
+        ModelCurve::new(self).total(x)
     }
 
     /// Synthesizes the full performance curve at `steps + 1` evenly spaced
     /// ratios from 0 to 1 (the paper sweeps 101).
     pub fn curve(&self, steps: usize) -> Vec<(f64, f64)> {
+        let curve = ModelCurve::new(self);
         (0..=steps)
             .map(|i| {
                 let x = i as f64 / steps as f64;
-                (x, self.predict_total(x))
+                (x, curve.total(x))
             })
             .collect()
     }
@@ -377,14 +457,25 @@ pub struct BestShot {
 /// Analytically selects the best interleaving ratio on a percent grid
 /// (Best-shot never needs iterative *execution* — the search is over the
 /// closed-form curve).
+///
+/// The search starts from DRAM-only (ratio 1.0) and visits the ratios
+/// `0.00, 0.01, …, 0.99` in ascending order, moving only to a point whose
+/// predicted slowdown is strictly lower than the best so far: of equal
+/// minima the lowest ratio wins, a curve that never dips below its
+/// DRAM-only value keeps ratio 1.0, and so does a NaN at ratio 1.0.
+///
+/// The model's constants are derived once per call, not per point. On a
+/// tier without contention (`L_full ≤ L_idle`, as on every model from
+/// [`InterleaveModel::try_from_signature`]) the search skips Eq. 8's
+/// `powf`: there `contention · x'^α` is a zero of `contention`'s own sign
+/// for every share `x' ∈ [+0, 1]`, so the result is bit-identical to
+/// evaluating the full formula.
 pub fn best_shot(model: &InterleaveModel) -> BestShot {
-    let mut best = BestShot {
-        ratio: 1.0,
-        predicted_slowdown: model.predict_total(1.0),
-    };
-    for i in 0..=100 {
+    let curve = ModelCurve::new(model);
+    let mut best = BestShot { ratio: 1.0, predicted_slowdown: curve.total(1.0) };
+    for i in 0..100 {
         let x = i as f64 / 100.0;
-        let s = model.predict_total(x);
+        let s = curve.total(x);
         if s < best.predicted_slowdown {
             best = BestShot { ratio: x, predicted_slowdown: s };
         }

@@ -2,7 +2,9 @@
 //! deterministic SplitMix64 from `camp-workloads` (no external test
 //! dependencies).
 
-use camp_core::interleave::{ComponentStalls, InterleaveModel, TierEndpoint};
+use camp_core::interleave::{
+    best_shot, ComponentStalls, InterleaveModel, LatencyCurve, TierEndpoint,
+};
 use camp_core::stats::{self, Hyperbola};
 use camp_core::{Calibration, CampPredictor, Signature, SlowdownPrediction};
 use camp_pmu::{CounterSet, Event};
@@ -135,5 +137,200 @@ fn interleave_endpoints_are_exact() {
         assert!(model.predict_total(1.0).abs() < 1e-9, "case {case}");
         let endpoint = model.predict_total(0.0);
         assert!((endpoint - (s_s - s_d) / c).abs() < 1e-9, "case {case}");
+    }
+}
+
+/// The Eq. 8–10 formulas and the Best-shot search exactly as they read
+/// before the per-call curve evaluator: the reference every evaluation
+/// must match bit for bit.
+mod reference {
+    use camp_core::interleave::{BestShot, InterleaveModel, LatencyCurve, TierEndpoint};
+    use camp_core::SlowdownPrediction;
+
+    fn exponent(tier: &TierEndpoint) -> f64 {
+        match tier.curve {
+            LatencyCurve::Quadratic => 2.0,
+            LatencyCurve::Linear => 1.0,
+            LatencyCurve::Cubic => 3.0,
+            LatencyCurve::Adaptive => {
+                if tier.full_latency > 0.0 {
+                    1.0 + (tier.idle_latency / tier.full_latency).clamp(0.0, 1.0)
+                } else {
+                    2.0
+                }
+            }
+        }
+    }
+
+    pub fn latency(tier: &TierEndpoint, x_prime: f64) -> f64 {
+        let contention = (tier.full_latency - tier.idle_latency).max(0.0);
+        tier.idle_latency + contention * x_prime.max(0.0).powf(exponent(tier))
+    }
+
+    pub fn load_scale(tier: &TierEndpoint, x_prime: f64) -> f64 {
+        if tier.full_latency <= 0.0 {
+            return x_prime;
+        }
+        x_prime * latency(tier, x_prime) / tier.full_latency.max(tier.idle_latency)
+    }
+
+    pub fn predict_components(model: &InterleaveModel, x: f64) -> SlowdownPrediction {
+        assert!((0.0..=1.0).contains(&x), "ratio must be in [0,1]");
+        let c = model.baseline_cycles.max(1.0);
+        let m_fast = load_scale(&model.dram, x);
+        let m_slow = load_scale(&model.slow, 1.0 - x);
+        let combine = |s_dram: f64, s_slow: f64| (m_fast * s_dram + m_slow * s_slow - s_dram) / c;
+        SlowdownPrediction {
+            drd: combine(model.dram.stalls.llc, model.slow.stalls.llc),
+            cache: combine(model.dram.stalls.cache, model.slow.stalls.cache),
+            store: combine(model.dram.stalls.sb, model.slow.stalls.sb),
+        }
+    }
+
+    pub fn predict_total(model: &InterleaveModel, x: f64) -> f64 {
+        predict_components(model, x).total()
+    }
+
+    pub fn best_shot(model: &InterleaveModel) -> BestShot {
+        let mut best = BestShot {
+            ratio: 1.0,
+            predicted_slowdown: predict_total(model, 1.0),
+        };
+        for i in 0..=100 {
+            let x = i as f64 / 100.0;
+            let s = predict_total(model, x);
+            if s < best.predicted_slowdown {
+                best = BestShot { ratio: x, predicted_slowdown: s };
+            }
+        }
+        best
+    }
+}
+
+/// Values that sit on the edges of the Eq. 8–9 formulas.
+const EDGES: [f64; 9] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+    0.0,
+    -250.0,
+    1e-300,
+    1.0,
+    4e300,
+];
+
+/// A latency: usually a plausible cycle count, sometimes an edge value.
+fn arb_latency(rng: &mut SplitMix) -> f64 {
+    if rng.below(4) == 0 {
+        EDGES[rng.below(EDGES.len() as u64) as usize]
+    } else {
+        10.0 + rng.unit() * 2_000.0
+    }
+}
+
+/// A tier that is uncontended (`L_full == L_idle`, the serving path),
+/// contended, inverted, or built from two independent latencies.
+fn arb_tier(rng: &mut SplitMix) -> TierEndpoint {
+    let idle = arb_latency(rng);
+    let full = match rng.below(4) {
+        0 => idle,
+        1 => idle + rng.unit() * 3_000.0,
+        2 => idle - rng.unit() * 100.0,
+        _ => arb_latency(rng),
+    };
+    let mut stall = || if rng.below(16) == 0 { arb_latency(rng) } else { rng.unit() * 1e7 };
+    let stalls = ComponentStalls { llc: stall(), cache: stall(), sb: stall() };
+    let curve = [
+        LatencyCurve::Quadratic,
+        LatencyCurve::Adaptive,
+        LatencyCurve::Linear,
+        LatencyCurve::Cubic,
+    ][rng.below(4) as usize];
+    TierEndpoint {
+        idle_latency: idle,
+        full_latency: full,
+        stalls,
+        curve,
+    }
+}
+
+fn arb_model(rng: &mut SplitMix) -> InterleaveModel {
+    let baseline_cycles = match rng.below(8) {
+        0 => arb_latency(rng),
+        _ => 1e3 + rng.unit() * 1e9,
+    };
+    InterleaveModel {
+        dram: arb_tier(rng),
+        slow: arb_tier(rng),
+        baseline_cycles,
+        boundness: camp_core::Boundness::BandwidthBound,
+        profiling_runs: 2,
+    }
+}
+
+/// The per-call curve evaluator, and its shortcut on uncontended tiers,
+/// give every public evaluation the bits of the reference formulas: over
+/// all four latency curves, contended and uncontended tiers, and edge
+/// endpoints and load shares (NaN, ±∞, −0.0, zero or negative latencies,
+/// shares outside [0, 1]).
+#[test]
+fn curve_evaluation_matches_the_reference_formulas_bit_for_bit() {
+    // Bits must match, zero signs included. Any NaN matches any NaN: where
+    // several NaN operands meet, Rust leaves the result's sign and payload
+    // unspecified, and even one formula compiled at two call sites differs.
+    let same = |a: f64, b: f64, what: &str, at: f64, model: &InterleaveModel| {
+        if !(a.is_nan() && b.is_nan()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} at {at:?}: {a:?} vs {b:?} for {model:?}");
+        }
+    };
+    let shares = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.0,
+        0.0,
+        1e-300,
+        0.25,
+        0.5,
+        1.0 - f64::EPSILON / 2.0,
+        1.0,
+        1.0 + f64::EPSILON,
+        2.0,
+        f64::INFINITY,
+    ];
+    let mut rng = SplitMix::new(0xb17_1de7);
+    for _ in 0..24_000 {
+        let model = arb_model(&mut rng);
+        for tier in [&model.dram, &model.slow] {
+            for x in shares.into_iter().chain([rng.unit()]) {
+                same(tier.latency(x), reference::latency(tier, x), "latency", x, &model);
+                same(tier.load_scale(x), reference::load_scale(tier, x), "load_scale", x, &model);
+            }
+        }
+        for x in [-0.0, 0.0, 1.0, rng.unit(), rng.below(101) as f64 / 100.0] {
+            let got = model.predict_components(x);
+            let want = reference::predict_components(&model, x);
+            same(got.drd, want.drd, "drd", x, &model);
+            same(got.cache, want.cache, "cache", x, &model);
+            same(got.store, want.store, "store", x, &model);
+            same(model.predict_total(x), reference::predict_total(&model, x), "total", x, &model);
+        }
+        let steps = 1 + rng.below(100) as usize;
+        for (&(x, total), i) in model.curve(steps).iter().zip(0..) {
+            let want = i as f64 / steps as f64;
+            same(x, want, "curve ratio", x, &model);
+            same(total, reference::predict_total(&model, want), "curve", x, &model);
+        }
+        let got = best_shot(&model);
+        let want = reference::best_shot(&model);
+        same(got.ratio, want.ratio, "best ratio", want.ratio, &model);
+        same(
+            got.predicted_slowdown,
+            want.predicted_slowdown,
+            "best slowdown",
+            want.ratio,
+            &model,
+        );
     }
 }

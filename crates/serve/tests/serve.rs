@@ -475,3 +475,63 @@ fn server_addr_after_drop(manifest: &str) -> std::net::SocketAddr {
         .parse()
         .expect("socket addr")
 }
+
+/// FNV-1a over the bit patterns of every number the daemon computes for a
+/// fixed, seeded batch: each device's prediction components, Best-shot
+/// ratio and Best-shot slowdown. The golden value was captured before
+/// `best_shot` moved to the per-call curve evaluator; any change to the
+/// model arithmetic, however small, changes it.
+#[test]
+fn answers_for_a_seeded_batch_are_pinned_bit_for_bit() {
+    const GOLDEN: u64 = 0xff01_4548_f58b_5fa1;
+    let mut rng = camp_workloads::rng::SplitMix::new(0x5eed_ba7c);
+    let mut signatures: Vec<Signature> = (0..256)
+        .map(|_| {
+            let cycles = 1e4 * 10f64.powf(rng.unit() * 5.0);
+            Signature {
+                cycles,
+                s_llc: cycles * rng.unit() * 0.9,
+                s_cache: cycles * rng.unit() * 0.3,
+                s_sb: cycles * rng.unit() * 0.2,
+                memory_active: cycles * rng.unit(),
+                latency: 80.0 + rng.unit() * 900.0,
+                mlp: 1.0 + rng.unit() * 30.0,
+                r_lfb_hit: rng.unit(),
+                r_mem: rng.unit(),
+            }
+        })
+        .collect();
+    // Degenerate but finite signatures the daemon accepts.
+    signatures.push(Signature { cycles: 0.5, mlp: 0.0, latency: 0.0, ..signature() });
+    signatures.push(Signature {
+        s_llc: -1e5,
+        r_mem: 0.0,
+        r_lfb_hit: 1.0,
+        ..signature()
+    });
+    let server = Server::start(test_config()).expect("start");
+    let mut client = connect(&server);
+    let request = PredictRequest { signatures, ..predict_request(77) };
+    let Response::Predictions { results, .. } = client.predict(request).expect("round trip") else {
+        panic!("expected predictions");
+    };
+    assert_eq!(results.len(), 258);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for prediction in results.iter().flatten() {
+        let p = &prediction.prediction;
+        for value in [
+            p.drd,
+            p.cache,
+            p.store,
+            prediction.best_ratio,
+            prediction.best_slowdown,
+        ] {
+            for byte in value.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(hash, GOLDEN, "answers changed: got {hash:#018x}");
+    server.shutdown();
+    server.join().expect("join");
+}
