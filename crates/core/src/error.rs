@@ -32,6 +32,18 @@ pub enum ModelError {
         /// The offending value.
         value: f64,
     },
+    /// A signature's cycle count is below one cycle (the floor
+    /// [`Signature::from_counters`] clamps to); every stall fraction
+    /// divides by it, so a smaller value yields non-finite or unbounded
+    /// predictions.
+    ///
+    /// [`Signature::from_counters`]: crate::signature::Signature::from_counters
+    CyclesBelowOne {
+        /// Workload (or request) whose signature is broken.
+        workload: String,
+        /// The offending cycle count.
+        value: f64,
+    },
     /// An explicitly supplied tier endpoint is inverted (full-load latency
     /// below unloaded latency) or non-finite.
     InvalidEndpoint {
@@ -73,6 +85,9 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::NonFiniteSignature { workload, field, value } => {
                 write!(f, "signature of '{workload}' has non-finite {field}: {value}")
+            }
+            ModelError::CyclesBelowOne { workload, value } => {
+                write!(f, "signature of '{workload}' has cycles {value}, below the 1-cycle floor")
             }
             ModelError::InvalidEndpoint { idle, full } => {
                 write!(

@@ -730,7 +730,7 @@ mod tests {
         // (counter-view `sig.cycles` vs report wall cycles, which differ
         // at ~1e-9 relative on this substrate).
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * b.abs().max(1.0);
-        let calib = Calibration::fit(Platform::Spr2s, DeviceKind::CxlA);
+        let calib = Calibration::fit_with(Platform::Spr2s, DeviceKind::CxlA, &crate::tiny_probes());
         let predictor = CampPredictor::new(calib);
         let workload = camp_workloads::find("spec.505.mcf-1t").expect("in suite");
         let dram = Machine::dram_only(Platform::Spr2s).run(workload.as_ref());

@@ -28,3 +28,18 @@ pub use error::ModelError;
 pub use interleave::{best_shot, BestShot, Boundness, InterleaveModel};
 pub use model::{CampPredictor, SlowdownPrediction};
 pub use signature::{MeasuredComponents, Signature};
+
+/// A minimal calibration probe set for unit tests: enough to exercise
+/// every fitted constant while keeping the fit fast (five probes instead
+/// of the full suite's 55).
+#[cfg(test)]
+pub(crate) fn tiny_probes() -> Vec<Box<dyn camp_sim::Workload>> {
+    use camp_workloads::kernels::{PointerChase, StoreKernel, StorePattern, StridedRead};
+    vec![
+        Box::new(PointerChase::new("calib.t-chase-c1", 1, 1 << 19, 1, 40_000)),
+        Box::new(PointerChase::new("calib.t-chase-c4", 1, 1 << 19, 4, 40_000)),
+        Box::new(PointerChase::new("calib.t-chase-c12", 1, 1 << 19, 12, 40_000)),
+        Box::new(StridedRead::new("calib.t-strided", 1, 1 << 19, 4, 2, 40_000)),
+        Box::new(StoreKernel::new("calib.t-memset", 1, 64 << 20, StorePattern::Memset, 40_000)),
+    ]
+}

@@ -142,7 +142,9 @@ impl Signature {
 
     /// Rejects a signature whose counter-derived fields picked up a NaN or
     /// infinity upstream, naming the offending field and the workload (or
-    /// request) label the caller supplies. Every model entry point that
+    /// request) label the caller supplies, and one whose `cycles` is below
+    /// the 1-cycle floor [`Signature::from_counters`] clamps to (the
+    /// stall fractions divide by it). Every model entry point that
     /// accepts an externally supplied signature — the interleave
     /// constructors, the serving layer — funnels through this check.
     pub fn check(&self, label: &str) -> Result<(), ModelError> {
@@ -155,6 +157,12 @@ impl Signature {
                     value,
                 });
             }
+        }
+        if self.cycles < 1.0 {
+            return Err(ModelError::CyclesBelowOne {
+                workload: label.to_string(),
+                value: self.cycles,
+            });
         }
         Ok(())
     }
@@ -340,6 +348,16 @@ mod tests {
         let text = error.to_string();
         assert!(text.contains("req-7"), "{text}");
         assert!(text.contains("latency"), "{text}");
+        for cycles in [0.0, 0.5, -3.0] {
+            let sig = Signature {
+                cycles,
+                ..Signature::from_counters(&counters(), CounterFlavor::SprEmr)
+            };
+            assert_eq!(
+                sig.check("req-8"),
+                Err(ModelError::CyclesBelowOne { workload: "req-8".into(), value: cycles })
+            );
+        }
     }
 
     #[test]

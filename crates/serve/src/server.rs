@@ -487,9 +487,30 @@ fn handle_predict(shared: &Shared, request: &PredictRequest) -> Response {
                 }
             };
             let shot = best_shot(&model);
+            let prediction = predictor.predict_signature(signature);
+            // JSON has no NaN or infinity, so a non-finite answer would go
+            // out as `null`: it is a model error, never an ok.
+            let answer = [
+                prediction.drd,
+                prediction.cache,
+                prediction.store,
+                shot.ratio,
+                shot.predicted_slowdown,
+            ];
+            if !answer.iter().all(|value| value.is_finite()) {
+                shared.counters.model_errors.fetch_add(1, Ordering::Relaxed);
+                return Response::Error {
+                    code: ErrorCode::Model,
+                    detail: format!(
+                        "'{label}' has a non-finite prediction on {}: s_drd, s_cache, s_store, \
+                         best ratio, best slowdown = {answer:?}",
+                        device.name()
+                    ),
+                };
+            }
             per_device.push(DevicePrediction {
                 device,
-                prediction: predictor.predict_signature(signature),
+                prediction,
                 best_ratio: shot.ratio,
                 best_slowdown: shot.predicted_slowdown,
             });

@@ -200,6 +200,44 @@ fn non_finite_signatures_surface_the_model_error_text() {
 }
 
 #[test]
+fn sub_cycle_signatures_answer_a_model_error_never_null() {
+    // Every stall fraction divides by `cycles`: at 0 the components are
+    // NaN, which JSON can only carry as `null`. The request must fail as a
+    // model error instead of going out as an ok answer.
+    let server = Server::start(test_config()).expect("start");
+    let mut client = connect(&server);
+    let request = PredictRequest {
+        signatures: vec![Signature { cycles: 0.0, ..signature() }],
+        ..predict_request(8)
+    };
+    match client.predict(request).expect("round trip") {
+        Response::Error { code: ErrorCode::Model, detail } => {
+            assert!(detail.contains("request-8[0]"), "label names the request: {detail:?}");
+            assert!(detail.contains("1-cycle floor"), "{detail:?}");
+        }
+        other => panic!("expected a model error, got {other:?}"),
+    }
+    assert_eq!(server.stats().model_errors, 1);
+    // A finite signature can still overflow the model (here Best-shot's
+    // slowdown); that answer is a model error too.
+    let request = PredictRequest {
+        signatures: vec![Signature { s_sb: f64::MAX, ..signature() }],
+        ..predict_request(9)
+    };
+    match client.predict(request).expect("round trip") {
+        Response::Error { code: ErrorCode::Model, detail } => {
+            assert!(detail.contains("request-9[0]"), "{detail:?}");
+            assert!(detail.contains("non-finite prediction"), "{detail:?}");
+        }
+        other => panic!("expected a model error, got {other:?}"),
+    }
+    assert_eq!(server.stats().model_errors, 2);
+    assert_eq!(server.stats().completed, 0);
+    server.shutdown();
+    server.join().expect("join");
+}
+
+#[test]
 fn uncalibrated_pairs_are_rejected() {
     let server = Server::start(test_config()).expect("start");
     let mut client = connect(&server);
@@ -483,7 +521,7 @@ fn server_addr_after_drop(manifest: &str) -> std::net::SocketAddr {
 /// model arithmetic, however small, changes it.
 #[test]
 fn answers_for_a_seeded_batch_are_pinned_bit_for_bit() {
-    const GOLDEN: u64 = 0xff01_4548_f58b_5fa1;
+    const GOLDEN: u64 = 0xb64c_4575_1341_f801;
     let mut rng = camp_workloads::rng::SplitMix::new(0x5eed_ba7c);
     let mut signatures: Vec<Signature> = (0..256)
         .map(|_| {
@@ -501,8 +539,9 @@ fn answers_for_a_seeded_batch_are_pinned_bit_for_bit() {
             }
         })
         .collect();
-    // Degenerate but finite signatures the daemon accepts.
-    signatures.push(Signature { cycles: 0.5, mlp: 0.0, latency: 0.0, ..signature() });
+    // Degenerate but finite signatures the daemon accepts (1 cycle is the
+    // floor `Signature::check` admits).
+    signatures.push(Signature { cycles: 1.0, mlp: 0.0, latency: 0.0, ..signature() });
     signatures.push(Signature {
         s_llc: -1e5,
         r_mem: 0.0,

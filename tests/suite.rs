@@ -1,5 +1,6 @@
-//! Cross-crate suite invariants: the 265 workloads are well-formed,
-//! deterministic and behaviourally diverse on the simulator.
+//! Cross-crate suite invariants: the 265 workloads are well-formed and
+//! deterministic on the simulator. (Their spread of slowdowns is gated in
+//! camp-bench's `paper` tests, on runs shared with the prediction sample.)
 
 use camp::pmu::Event;
 use camp::sim::{DeviceKind, Machine, Platform, Workload};
@@ -26,27 +27,6 @@ fn runs_are_deterministic_across_machine_instances() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.counters, b.counters);
     assert_eq!(a.instructions, b.instructions);
-}
-
-#[test]
-fn suite_spans_the_slowdown_spectrum() {
-    // A sample of the suite must show both tolerant and sensitive
-    // workloads on CXL-A — the diversity Table 1's correlations rely on.
-    let dram = Machine::dram_only(Platform::Spr2s);
-    let slow = Machine::slow_only(Platform::Spr2s, DeviceKind::CxlA);
-    let mut slowdowns = Vec::new();
-    for (i, workload) in camp::workloads::suite().iter().enumerate() {
-        if i % 16 != 0 {
-            continue;
-        }
-        let d = dram.run(workload);
-        let s = slow.run(workload);
-        slowdowns.push(s.slowdown_vs(&d));
-    }
-    let min = slowdowns.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = slowdowns.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    assert!(min < 0.25, "no tolerant workloads in sample (min {min})");
-    assert!(max > 0.60, "no sensitive workloads in sample (max {max})");
 }
 
 #[test]
