@@ -10,6 +10,7 @@ mod tb;
 
 use camp_core::interleave::{best_shot, InterleaveModel};
 use camp_core::{stats, Calibration, CampPredictor, Signature};
+use camp_serve::{DevicePrediction, Request, Response};
 use camp_sim::{DeviceKind, Machine, Platform, Workload};
 use camp_workloads::kernels::PointerChase;
 
@@ -55,8 +56,62 @@ fn fitting_path(harness: &mut tb::Harness) {
     harness.bench("pearson-265", 10, 10_000, || stats::pearson(&xs, &ys));
 }
 
+/// The daemon's frame codec on `camp_bench::corpus` batches: the request
+/// a client renders and the server decodes, and the answer (four slow
+/// tiers per signature, like `camp-serve`'s default SPR2S pairs) the
+/// server renders and the client decodes.
+fn wire_path(harness: &mut tb::Harness) {
+    let predictor = CampPredictor::new(cheap_calibration());
+    for batch in [4, 64] {
+        let request = camp_bench::corpus::requests(1, 1, batch, Platform::Spr2s).remove(0);
+        let results = request
+            .signatures
+            .iter()
+            .map(|signature| {
+                let model = InterleaveModel::try_from_signature(signature, &predictor, "bench")
+                    .expect("finite corpus signature");
+                let shot = best_shot(&model);
+                DeviceKind::SLOW_TIERS
+                    .iter()
+                    .map(|&device| DevicePrediction {
+                        device,
+                        prediction: predictor.predict_signature(signature),
+                        best_ratio: shot.ratio,
+                        best_slowdown: shot.predicted_slowdown,
+                    })
+                    .collect()
+            })
+            .collect();
+        let answer = Response::Predictions { id: request.id, results };
+        let request_body = request.to_json().render();
+        let answer_body = answer.render();
+        let elements = batch as u64;
+        harness.bench_throughput(
+            &format!("wire-request-render-{batch}"),
+            elements,
+            10,
+            200,
+            || request.to_json().render(),
+        );
+        harness.bench_throughput(
+            &format!("wire-request-decode-{batch}"),
+            elements,
+            10,
+            200,
+            || Request::from_text(&request_body).expect("valid request"),
+        );
+        harness.bench_throughput(&format!("wire-answer-render-{batch}"), elements, 10, 200, || {
+            answer.render()
+        });
+        harness.bench_throughput(&format!("wire-answer-decode-{batch}"), elements, 10, 200, || {
+            Response::from_text(&answer_body).expect("valid answer")
+        });
+    }
+}
+
 fn main() {
     let mut harness = tb::Harness::new();
+    wire_path(&mut harness);
     prediction_path(&mut harness);
     interleave_path(&mut harness);
     fitting_path(&mut harness);

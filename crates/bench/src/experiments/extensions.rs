@@ -137,26 +137,29 @@ pub fn hybrid(ctx: &Context) -> Vec<Table> {
         ],
     );
     let workload = SkewedStream { name: "ext.dlrm-like".into() };
-    // One shared trace feeds every policy's profiling and placement runs.
+    // One shared trace feeds every policy's profiling and placement runs,
+    // and one DRAM-only run normalises them all.
     let traced = ctx.traces().wrap(&workload);
+    let baseline = ctx.run(PLATFORM, None, &traced);
     for capacity in [0.4, 0.6, 0.8] {
         let mut policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
         policy_ctx.fast_capacity_fraction = capacity;
-        let hybrid = evaluate_policy(&policy_ctx, &HybridCamp::new(), &traced);
-        let best_shot = evaluate_policy(&policy_ctx, &BestShotPolicy::new(), &traced);
-        let first_touch = evaluate_policy(&policy_ctx, &FirstTouch, &traced);
-        let nbt: Box<dyn TieringPolicy> = Box::new(Nbt);
-        let nbt_result = evaluate_policy(&policy_ctx, nbt.as_ref(), &traced);
-        let soar: Box<dyn TieringPolicy> = Box::new(Soar);
-        let soar_result = evaluate_policy(&policy_ctx, soar.as_ref(), &traced);
+        let evaluate = |policy: &dyn TieringPolicy| {
+            evaluate_policy(&policy_ctx, policy, &traced, &baseline).normalized_performance
+        };
+        let hybrid = evaluate(&HybridCamp::new());
+        let best_shot = evaluate(&BestShotPolicy::new());
+        let first_touch = evaluate(&FirstTouch);
+        let nbt = evaluate(&Nbt);
+        let soar = evaluate(&Soar);
         table.row(&[
             workload.name().to_string(),
             fmt(capacity, 1),
-            fmt(hybrid.normalized_performance, 3),
-            fmt(best_shot.normalized_performance, 3),
-            fmt(first_touch.normalized_performance, 3),
-            fmt(nbt_result.normalized_performance, 3),
-            fmt(soar_result.normalized_performance, 3),
+            fmt(hybrid, 3),
+            fmt(best_shot, 3),
+            fmt(first_touch, 3),
+            fmt(nbt, 3),
+            fmt(soar, 3),
         ]);
     }
     vec![table]

@@ -28,16 +28,18 @@ pub fn run(ctx: &Context) -> Vec<Table> {
     let mut total_cells = 0usize;
     for workload in camp_workloads::bestshot_workloads() {
         // One shared trace feeds the baseline run, every policy's
-        // profiling pass and every placement run.
+        // profiling pass and every placement run; one memoized baseline
+        // run normalises them all.
         let traced = ctx.traces().wrap(workload.as_ref());
-        let bs = evaluate_policy(&policy_ctx, &best_shot, &traced);
+        let baseline = ctx.run(PLATFORM, None, &traced);
+        let bs = evaluate_policy(&policy_ctx, &best_shot, &traced, &baseline);
         let mut cells = vec![
             workload.name().to_string(),
             fmt(bs.normalized_performance, 3),
             fmt(best_shot.chosen_ratio(), 2),
         ];
         for policy in &baselines {
-            let result = evaluate_policy(&policy_ctx, policy.as_ref(), &traced);
+            let result = evaluate_policy(&policy_ctx, policy.as_ref(), &traced, &baseline);
             // Count a "win" with 1% tolerance (simulation noise).
             total_cells += 1;
             if bs.normalized_performance >= result.normalized_performance - 0.01 {

@@ -11,6 +11,7 @@
 //! to a full store buffer is an `S_Store` miss.
 
 use crate::harness::{fmt, Context, Table};
+use camp_core::CampPredictor;
 use camp_pmu::Event;
 use camp_sim::{DeviceKind, Epoch, Machine, Platform, Workload};
 
@@ -61,22 +62,23 @@ pub fn explain(ctx: &Context, name: &str) -> Result<Vec<Table>, String> {
 
 /// Runs the drill-down for any workload on the default platform/device.
 pub fn report(ctx: &Context, workload: &dyn Workload) -> Vec<Table> {
-    report_on(ctx, workload, PLATFORM, DEVICE, EPOCH_CYCLES)
+    let predictor = ctx.predictor(PLATFORM, DEVICE);
+    report_on(ctx, workload, &predictor, PLATFORM, DEVICE, EPOCH_CYCLES)
 }
 
-/// Runs the drill-down with explicit platform, device, and epoch period.
+/// Runs the drill-down with an explicit predictor (calibrated for
+/// `platform` and `device`), platform, device, and epoch period.
 ///
 /// Both endpoint runs are re-simulated here (not recalled from the
-/// context's cache) because the drill-down needs epoch sampling; the
-/// calibration's probe runs still come from the cache.
+/// context's cache) because the drill-down needs epoch sampling.
 pub fn report_on(
     ctx: &Context,
     workload: &dyn Workload,
+    predictor: &CampPredictor,
     platform: Platform,
     device: DeviceKind,
     period: u64,
 ) -> Vec<Table> {
-    let predictor = ctx.predictor(platform, device);
     let traced = ctx.traces().wrap(workload);
     let dram = Machine::dram_only(platform).with_epochs(period).run(&traced);
     let slow = Machine::slow_only(platform, device).with_epochs(period).run(&traced);
@@ -162,6 +164,7 @@ pub fn report_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camp_core::Calibration;
     use camp_workloads::kernels::PointerChase;
 
     #[test]
@@ -181,8 +184,16 @@ mod tests {
     #[test]
     fn drill_down_renders_components_and_tape_columns() {
         let ctx = Context::new();
+        // A 2-probe fit: the drill-down's layout does not depend on the
+        // calibration's quality, and the full 55-probe fit dominates.
+        let probes: Vec<Box<dyn Workload>> = vec![
+            Box::new(PointerChase::new("explain-calib-c1", 1, 1 << 18, 1, 20_000)),
+            Box::new(PointerChase::new("explain-calib-c8", 1, 1 << 18, 8, 20_000)),
+        ];
+        let predictor =
+            CampPredictor::new(Calibration::fit_with(Platform::Spr2s, DeviceKind::CxlA, &probes));
         let w = PointerChase::new("explain-chase", 1, 1 << 16, 1, 40_000);
-        let tables = report_on(&ctx, &w, Platform::Spr2s, DeviceKind::CxlA, 50_000);
+        let tables = report_on(&ctx, &w, &predictor, Platform::Spr2s, DeviceKind::CxlA, 50_000);
         assert_eq!(tables.len(), 2);
         let (summary, table) = (&tables[0], &tables[1]);
         assert!(!table.is_empty(), "per-epoch table has rows");

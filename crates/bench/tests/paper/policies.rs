@@ -17,14 +17,15 @@ fn best_shot_tops_the_policy_comparison_on_bwaves() {
     let predictor = ctx().predictor(PLATFORM, DEVICE);
     let policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
     let workload = traced("spec.603.bwaves-8t");
+    let baseline = ctx().run(PLATFORM, None, &workload);
     let best_shot = BestShotPolicy::new();
-    let bs = evaluate_policy(&policy_ctx, &best_shot, &workload);
+    let bs = evaluate_policy(&policy_ctx, &best_shot, &workload, &baseline);
     assert!(
         bs.normalized_performance > 1.0,
         "Best-shot should beat DRAM-only on a bandwidth-bound stream: {bs:?}"
     );
     for policy in baseline_policies() {
-        let result = evaluate_policy(&policy_ctx, policy.as_ref(), &workload);
+        let result = evaluate_policy(&policy_ctx, policy.as_ref(), &workload, &baseline);
         assert!(
             bs.normalized_performance >= result.normalized_performance - 0.02,
             "{} ({:.3}) beat Best-shot ({:.3}) beyond tolerance",
@@ -40,12 +41,13 @@ fn best_shot_clearly_beats_static_policies_on_llama() {
     let predictor = ctx().predictor(PLATFORM, DEVICE);
     let policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
     let workload = traced("ai.llama-7b-prefill");
-    let bs = evaluate_policy(&policy_ctx, &BestShotPolicy::new(), &workload);
+    let baseline = ctx().run(PLATFORM, None, &workload);
+    let bs = evaluate_policy(&policy_ctx, &BestShotPolicy::new(), &workload, &baseline);
     for policy in [
         Box::new(camp_policies::FirstTouch) as Box<dyn TieringPolicy>,
         Box::new(camp_policies::Soar),
     ] {
-        let result = evaluate_policy(&policy_ctx, policy.as_ref(), &workload);
+        let result = evaluate_policy(&policy_ctx, policy.as_ref(), &workload, &baseline);
         let gain = bs.normalized_performance / result.normalized_performance - 1.0;
         assert!(
             gain > 0.05,
@@ -93,10 +95,16 @@ fn every_policy_produces_a_runnable_placement() {
     let predictor = ctx().predictor(PLATFORM, DEVICE);
     let policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
     let workload = traced("spec.505.mcf-1t");
+    let baseline = ctx().run(PLATFORM, None, &workload);
     let best_shot = BestShotPolicy::new();
-    let mut results = vec![evaluate_policy(&policy_ctx, &best_shot, &workload)];
+    let mut results = vec![evaluate_policy(
+        &policy_ctx,
+        &best_shot,
+        &workload,
+        &baseline,
+    )];
     for policy in baseline_policies() {
-        results.push(evaluate_policy(&policy_ctx, policy.as_ref(), &workload));
+        results.push(evaluate_policy(&policy_ctx, policy.as_ref(), &workload, &baseline));
     }
     for result in results {
         assert!(

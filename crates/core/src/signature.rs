@@ -13,6 +13,7 @@
 //! - `R_Mem = (P7−P8)/P7` on SKX, `(P14/P15)·(P16/(P16+P17))` on SPR/EMR.
 
 use crate::error::ModelError;
+use camp_obs::json::{Kind, ParseError, Reader};
 use camp_obs::Json;
 use camp_pmu::{derived, CounterSet};
 use camp_sim::{CounterFlavor, RunReport};
@@ -21,8 +22,8 @@ use camp_sim::{CounterFlavor, RunReport};
 type Field = (&'static str, fn(&Signature) -> f64);
 
 /// The signature fields in wire order: `(name, getter)` pairs shared by
-/// the JSON round-trip and the finiteness check, so a field added to
-/// [`Signature`] cannot be forgotten in one of them.
+/// the JSON writer and reader and the finiteness check, so a field added
+/// to [`Signature`] cannot be forgotten in one of them.
 const FIELDS: [Field; 9] = [
     ("cycles", |s| s.cycles),
     ("s_llc", |s| s.s_llc),
@@ -178,33 +179,59 @@ impl Signature {
         )
     }
 
-    /// Deserialises from a JSON object. Every field is required and must
-    /// be a JSON number; unknown members are rejected (a misspelled field
-    /// silently defaulting to zero would skew predictions, not fail them).
-    pub fn from_json(json: &Json) -> Result<Signature, String> {
-        let members = json.as_obj().ok_or("signature must be a JSON object")?;
-        for (key, _) in members {
-            if !FIELDS.iter().any(|(name, _)| name == key) {
-                return Err(format!("unknown signature field '{key}'"));
+    /// Reads the wire form at `reader`'s cursor. Every field is required
+    /// and must be a JSON number; unknown members are rejected (a
+    /// misspelled field silently defaulting to zero would skew
+    /// predictions, not fail them). When a member repeats, the first one
+    /// counts.
+    ///
+    /// The outer error is a JSON syntax error. The inner one says why a
+    /// well-formed value is no signature: the first unknown member, else
+    /// the first field, in wire order, that is missing or not a number.
+    /// The value is read to its end either way, so a syntax error further
+    /// on is still found.
+    pub fn read_json(reader: &mut Reader<'_>) -> Result<Result<Signature, String>, ParseError> {
+        if reader.peek()? != Kind::Object {
+            reader.skip()?;
+            return Ok(Err("signature must be a JSON object".to_string()));
+        }
+        // Per field: unseen, seen but not a number, or its value.
+        let mut values = [None::<Option<f64>>; FIELDS.len()];
+        let mut unknown = None;
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match FIELDS.iter().position(|(name, _)| *name == key) {
+                Some(i) if values[i].is_none() => values[i] = Some(reader.number_or_skip()?),
+                Some(_) => reader.skip()?,
+                None => {
+                    unknown.get_or_insert(key);
+                    reader.skip()?;
+                }
             }
         }
-        let field = |name: &str| -> Result<f64, String> {
-            json.get(name)
-                .ok_or_else(|| format!("signature is missing field '{name}'"))?
-                .as_f64()
-                .ok_or_else(|| format!("signature field '{name}' must be a number"))
-        };
-        Ok(Signature {
-            cycles: field("cycles")?,
-            s_llc: field("s_llc")?,
-            s_cache: field("s_cache")?,
-            s_sb: field("s_sb")?,
-            memory_active: field("memory_active")?,
-            latency: field("latency")?,
-            mlp: field("mlp")?,
-            r_lfb_hit: field("r_lfb_hit")?,
-            r_mem: field("r_mem")?,
-        })
+        if let Some(key) = unknown {
+            return Ok(Err(format!("unknown signature field '{key}'")));
+        }
+        let mut fields = [0.0; FIELDS.len()];
+        for ((field, value), (name, _)) in fields.iter_mut().zip(values).zip(FIELDS) {
+            *field = match value {
+                None => return Ok(Err(format!("signature is missing field '{name}'"))),
+                Some(None) => return Ok(Err(format!("signature field '{name}' must be a number"))),
+                Some(Some(value)) => value,
+            };
+        }
+        let [cycles, s_llc, s_cache, s_sb, memory_active, latency, mlp, r_lfb_hit, r_mem] = fields;
+        Ok(Ok(Signature {
+            cycles,
+            s_llc,
+            s_cache,
+            s_sb,
+            memory_active,
+            latency,
+            mlp,
+            r_lfb_hit,
+            r_mem,
+        }))
     }
 }
 
@@ -319,24 +346,28 @@ mod tests {
     fn json_roundtrips_exactly() {
         let sig = Signature::from_counters(&counters(), CounterFlavor::SprEmr);
         let rendered = sig.to_json().render();
-        let parsed = camp_obs::json::parse(&rendered).expect("valid json");
-        assert_eq!(Signature::from_json(&parsed).expect("roundtrips"), sig);
+        let mut reader = Reader::new(&rendered);
+        assert_eq!(Signature::read_json(&mut reader).expect("valid json"), Ok(sig));
+        reader.finish().expect("nothing trails");
     }
 
     #[test]
     fn from_json_rejects_missing_unknown_and_non_numeric_fields() {
+        let read = |text: &str| {
+            let mut reader = Reader::new(text);
+            let sig = Signature::read_json(&mut reader).expect("well-formed json");
+            reader.finish().expect("nothing trails");
+            sig
+        };
         let sig = Signature::from_counters(&counters(), CounterFlavor::SprEmr);
         let mut missing = sig.to_json();
         missing.remove("mlp");
-        assert!(Signature::from_json(&missing).unwrap_err().contains("'mlp'"));
-        let unknown =
-            camp_obs::json::parse(&sig.to_json().render().replacen("\"cycles\"", "\"cycels\"", 1))
-                .unwrap();
-        assert!(Signature::from_json(&unknown).unwrap_err().contains("cycels"));
-        let non_numeric =
-            camp_obs::json::parse(&sig.to_json().render().replacen("10000", "\"x\"", 1)).unwrap();
-        assert!(Signature::from_json(&non_numeric).unwrap_err().contains("must be a number"));
-        assert!(Signature::from_json(&Json::Arr(vec![])).is_err());
+        assert!(read(&missing.render()).unwrap_err().contains("'mlp'"));
+        let unknown = sig.to_json().render().replacen("\"cycles\"", "\"cycels\"", 1);
+        assert!(read(&unknown).unwrap_err().contains("cycels"));
+        let non_numeric = sig.to_json().render().replacen("10000", "\"x\"", 1);
+        assert!(read(&non_numeric).unwrap_err().contains("must be a number"));
+        assert!(read("[]").is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! DRAM-only (the methodology of Figure 15).
 
 use crate::policy::{PolicyContext, TieringPolicy};
-use camp_sim::{Machine, Workload};
+use camp_sim::{Machine, RunReport, Workload};
 
 /// Outcome of evaluating one policy on one workload.
 #[derive(Debug, Clone)]
@@ -21,13 +21,15 @@ pub struct PolicyResult {
 }
 
 /// Evaluates `policy` on `workload`: asks for a placement, executes it and
-/// normalises runtime against the DRAM-only run.
+/// normalises runtime against `baseline`, the caller's DRAM-only run of
+/// `workload` on `ctx.platform` (one run serves every policy compared on
+/// that workload).
 pub fn evaluate_policy(
     ctx: &PolicyContext<'_>,
     policy: &dyn TieringPolicy,
     workload: &dyn Workload,
+    baseline: &RunReport,
 ) -> PolicyResult {
-    let baseline = Machine::dram_only(ctx.platform).run(workload);
     let placement = policy.place(ctx, workload);
     let fast_fraction = placement.fast_fraction();
     let report = Machine::dram_only(ctx.platform)
@@ -56,7 +58,8 @@ mod tests {
         // a chase over them slows only by the spilled fraction.
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
         let chase = PointerChase::new("eval-chase", 1, 1 << 19, 1, 40_000);
-        let result = evaluate_policy(&ctx, &FirstTouch, &chase);
+        let baseline = Machine::dram_only(ctx.platform).run(&chase);
+        let result = evaluate_policy(&ctx, &FirstTouch, &chase, &baseline);
         assert!(result.normalized_performance > 0.7, "{result:?}");
         assert!(result.normalized_performance <= 1.01, "{result:?}");
         assert_eq!(result.policy, "First-touch");
@@ -66,7 +69,8 @@ mod tests {
     fn half_interleave_costs_a_latency_bound_chase() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
         let chase = PointerChase::new("eval-chase2", 1, 1 << 19, 1, 40_000);
-        let result = evaluate_policy(&ctx, &Interleave1to1, &chase);
+        let baseline = Machine::dram_only(ctx.platform).run(&chase);
+        let result = evaluate_policy(&ctx, &Interleave1to1, &chase, &baseline);
         // Half the accesses pay CXL latency: performance well below 1.
         assert!(result.normalized_performance < 0.85, "{result:?}");
         assert_eq!(result.fast_fraction, Some(0.5));

@@ -4,8 +4,23 @@
 //! exactly that many bytes of UTF-8 JSON. Length-prefixing (rather than
 //! newline-delimited JSON) makes truncation *detectable*: a client that
 //! dies mid-request leaves a short read, not a silently shorter document.
-//! Both directions use the same framing; JSON parse/render reuses
+//! Both directions use the same framing, and the JSON comes from
 //! [`camp_obs::json`], so the protocol adds no dependencies.
+//!
+//! The predict path builds no [`Json`] tree. [`Response::render`] writes
+//! predictions, `ok` and errors straight to text with
+//! [`json::write_number`] and [`json::write_string`], byte for byte what
+//! [`Json::render`] would emit. [`Request::from_text`] and
+//! [`Response::from_text`] pull-decode the body with [`json::Reader`]
+//! straight into [`PredictRequest`]s, [`Signature`]s and
+//! [`DevicePrediction`]s, borrowing every key that has no escapes. They
+//! accept the documents a tree decoder would, with the same values and
+//! error text: the body is read to its end before any semantic error is
+//! reported, so a syntax error wins at its byte offset; a repeated member
+//! counts by its first occurrence; and the checks run in a fixed order,
+//! whatever order the members come in. Requests are still encoded through
+//! a tree ([`Request::to_json`]); only clients encode them, and `stats`
+//! answers are rendered and decoded through one too.
 //!
 //! Requests are JSON objects dispatched on `"kind"`:
 //!
@@ -19,9 +34,10 @@
 //! [`camp_core::ModelError`] display text).
 
 use camp_core::{Signature, SlowdownPrediction};
-use camp_obs::json::{self, Json};
+use camp_obs::json::{self, Json, Kind, ParseError, Reader};
 use camp_obs::HistogramSnapshot;
 use camp_sim::{DeviceKind, Platform};
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 
 /// Hard cap on a frame body, protecting the server from a hostile or
@@ -190,10 +206,17 @@ pub struct PredictRequest {
 impl Request {
     /// Decodes a request frame body. The error string is client-facing
     /// (it travels back in a `bad-request` response).
+    ///
+    /// The body is read once, straight into the request. Errors come in a
+    /// fixed order whatever the member order: syntax, kind, id, platform,
+    /// devices, the signatures' type, empty batch, batch limit, then the
+    /// first invalid signature.
     pub fn from_text(body: &str) -> Result<Request, String> {
-        let doc = json::parse(body).map_err(|e| e.to_string())?;
-        match doc.get("kind").and_then(Json::as_str) {
-            Some("predict") => Ok(Request::Predict(PredictRequest::from_json(&doc)?)),
+        let mut reader = Reader::new(body);
+        let mut fields = RequestFields::read(&mut reader).map_err(|e| e.to_string())?;
+        reader.finish().map_err(|e| e.to_string())?;
+        match fields.kind.take().flatten().as_deref() {
+            Some("predict") => Ok(Request::Predict(fields.into_predict()?)),
             Some("stats") => Ok(Request::Stats),
             Some("shutdown") => Ok(Request::Shutdown),
             Some(other) => Err(format!("unknown request kind '{other}'")),
@@ -211,44 +234,153 @@ impl Request {
     }
 }
 
-impl PredictRequest {
-    fn from_json(doc: &Json) -> Result<PredictRequest, String> {
-        let id = match doc.get("id") {
-            None => 0,
-            Some(id) => id.as_u64().ok_or("'id' must be a non-negative integer")?,
-        };
-        let platform: Platform = doc
-            .get("platform")
-            .and_then(Json::as_str)
-            .ok_or("'platform' must be a string")?
-            .parse()?;
-        let devices = match doc.get("devices") {
-            None => Vec::new(),
-            Some(devices) => devices
-                .as_arr()
-                .ok_or("'devices' must be an array of device names")?
-                .iter()
-                .map(|d| d.as_str().ok_or("'devices' must be an array of device names")?.parse())
-                .collect::<Result<Vec<DeviceKind>, String>>()?,
-        };
-        let raw = doc
-            .get("signatures")
-            .and_then(Json::as_arr)
-            .ok_or("'signatures' must be a non-empty array")?;
-        if raw.is_empty() {
-            return Err("'signatures' must be a non-empty array".to_string());
+/// A syntax error, or else the decoded value or why it is invalid: what
+/// the pull decoders return, so that a body with a semantic error is still
+/// read to its end and a later syntax error still wins.
+type Decoded<T> = Result<Result<T, String>, ParseError>;
+
+/// The members of a request body a decoder looks at, each as its first
+/// occurrence read (`None` if absent), mirroring what `Json::get` would
+/// find in the parsed tree. Nothing is judged while reading: the checks
+/// run afterwards in a fixed order, whatever the member order.
+#[derive(Default)]
+struct RequestFields<'a> {
+    /// `Some(None)`: present but not a string.
+    kind: Option<Option<Cow<'a, str>>>,
+    /// `Some(None)`: present but not a number.
+    id: Option<Option<f64>>,
+    /// `Some(None)`: present but not a string.
+    platform: Option<Option<Cow<'a, str>>>,
+    devices: Option<Result<Vec<DeviceKind>, String>>,
+    /// `Some(None)`: present but not an array.
+    signatures: Option<Option<Batch>>,
+}
+
+/// The `signatures` array as read.
+struct Batch {
+    /// Element count.
+    len: usize,
+    /// The signatures, or the first invalid one's error (elements past
+    /// [`MAX_BATCH`] are only counted).
+    signatures: Result<Vec<Signature>, String>,
+}
+
+impl<'a> RequestFields<'a> {
+    fn read(reader: &mut Reader<'a>) -> Result<RequestFields<'a>, ParseError> {
+        let mut fields = RequestFields::default();
+        if reader.peek()? != Kind::Object {
+            reader.skip()?;
+            return Ok(fields);
         }
-        if raw.len() > MAX_BATCH {
-            return Err(format!("batch of {} exceeds the {MAX_BATCH}-signature limit", raw.len()));
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "kind" if fields.kind.is_none() => fields.kind = Some(reader.string_or_skip()?),
+                "id" if fields.id.is_none() => fields.id = Some(reader.number_or_skip()?),
+                "platform" if fields.platform.is_none() => {
+                    fields.platform = Some(reader.string_or_skip()?)
+                }
+                "devices" if fields.devices.is_none() => {
+                    fields.devices = Some(read_devices(reader)?)
+                }
+                "signatures" if fields.signatures.is_none() => {
+                    fields.signatures = Some(read_batch(reader)?)
+                }
+                _ => reader.skip()?,
+            }
         }
-        let signatures = raw
-            .iter()
-            .enumerate()
-            .map(|(i, sig)| Signature::from_json(sig).map_err(|e| format!("signature {i}: {e}")))
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(PredictRequest { id, platform, devices, signatures })
+        Ok(fields)
     }
 
+    /// Checks a `predict` request: id, platform, devices, the signatures'
+    /// type, empty batch, batch limit, then the first invalid signature.
+    fn into_predict(self) -> Result<PredictRequest, String> {
+        let id = match self.id {
+            None => 0,
+            Some(id) => {
+                id.and_then(json::exact_u64).ok_or("'id' must be a non-negative integer")?
+            }
+        };
+        let platform: Platform =
+            self.platform.flatten().ok_or("'platform' must be a string")?.parse()?;
+        let devices = self.devices.unwrap_or(Ok(Vec::new()))?;
+        let batch = self.signatures.flatten().ok_or("'signatures' must be a non-empty array")?;
+        if batch.len == 0 {
+            return Err("'signatures' must be a non-empty array".to_string());
+        }
+        if batch.len > MAX_BATCH {
+            return Err(format!("batch of {} exceeds the {MAX_BATCH}-signature limit", batch.len));
+        }
+        Ok(PredictRequest {
+            id,
+            platform,
+            devices,
+            signatures: batch.signatures?,
+        })
+    }
+}
+
+/// Reads an array with `item`: the elements, or the first element's
+/// error (`not_array` if the value is no array). Elements after an
+/// error are only checked for syntax.
+fn read_list<'a, T>(
+    reader: &mut Reader<'a>,
+    not_array: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    if reader.peek()? != Kind::Array {
+        reader.skip()?;
+        return Ok(Err(not_array.to_string()));
+    }
+    let mut list = Ok(Vec::new());
+    reader.begin_array()?;
+    while reader.next_item()? {
+        match &mut list {
+            Ok(items) => match item(reader)? {
+                Ok(value) => items.push(value),
+                Err(error) => list = Err(error),
+            },
+            Err(_) => reader.skip()?,
+        }
+    }
+    Ok(list)
+}
+
+/// Reads a `devices` member: device names, or the first reason they are
+/// not.
+fn read_devices(reader: &mut Reader<'_>) -> Decoded<Vec<DeviceKind>> {
+    const NOT_NAMES: &str = "'devices' must be an array of device names";
+    read_list(reader, NOT_NAMES, |reader| {
+        Ok(reader
+            .string_or_skip()?
+            .ok_or_else(|| NOT_NAMES.to_string())
+            .and_then(|name| name.parse()))
+    })
+}
+
+/// Reads a `signatures` member (`None` if it is not an array).
+fn read_batch(reader: &mut Reader<'_>) -> Result<Option<Batch>, ParseError> {
+    if reader.peek()? != Kind::Array {
+        reader.skip()?;
+        return Ok(None);
+    }
+    let mut batch = Batch { len: 0, signatures: Ok(Vec::new()) };
+    reader.begin_array()?;
+    while reader.next_item()? {
+        let index = batch.len;
+        batch.len += 1;
+        match &mut batch.signatures {
+            Ok(signatures) if index < MAX_BATCH => match Signature::read_json(reader)? {
+                Ok(signature) => signatures.push(signature),
+                Err(error) => batch.signatures = Err(format!("signature {index}: {error}")),
+            },
+            _ => reader.skip()?,
+        }
+    }
+    Ok(Some(batch))
+}
+
+impl PredictRequest {
     /// Encodes as a frame body.
     pub fn to_json(&self) -> Json {
         let mut members = vec![
@@ -346,34 +478,112 @@ pub struct DevicePrediction {
 }
 
 impl DevicePrediction {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("device", self.device.name().into()),
-            ("prediction", self.prediction.to_json()),
-            ("best_ratio", self.best_ratio.into()),
-            ("best_slowdown", self.best_slowdown.into()),
-        ])
+    /// Appends the wire form. The slowdown total is included redundantly
+    /// so protocol consumers need not re-derive Eq. 1.
+    fn write(&self, out: &mut String) {
+        let p = &self.prediction;
+        out.push_str("{\"device\":");
+        json::write_string(self.device.name(), out);
+        for (name, value) in [
+            (",\"prediction\":{\"s_drd\":", p.drd),
+            (",\"s_cache\":", p.cache),
+            (",\"s_store\":", p.store),
+            (",\"total\":", p.total()),
+            ("},\"best_ratio\":", self.best_ratio),
+            (",\"best_slowdown\":", self.best_slowdown),
+        ] {
+            out.push_str(name);
+            json::write_number(value, out);
+        }
+        out.push('}');
     }
 
-    fn from_json(doc: &Json) -> Result<DevicePrediction, String> {
-        let number = |name: &str| -> Result<f64, String> {
-            doc.get(name)
-                .and_then(Json::as_f64)
+    /// Reads the wire form at `reader`'s cursor: the device, then the
+    /// prediction, then the two Best-shot numbers, each checked in that
+    /// order (the redundant total and unknown members are ignored).
+    fn read(reader: &mut Reader<'_>) -> Decoded<DevicePrediction> {
+        let mut fields = DeviceFields::default();
+        if reader.peek()? != Kind::Object {
+            reader.skip()?;
+            return Ok(fields.into_prediction());
+        }
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "device" if fields.device.is_none() => {
+                    fields.device = Some(reader.string_or_skip()?)
+                }
+                "prediction" if fields.prediction.is_none() => {
+                    fields.prediction = Some(read_slowdown(reader)?)
+                }
+                "best_ratio" if fields.best_ratio.is_none() => {
+                    fields.best_ratio = Some(reader.number_or_skip()?)
+                }
+                "best_slowdown" if fields.best_slowdown.is_none() => {
+                    fields.best_slowdown = Some(reader.number_or_skip()?)
+                }
+                _ => reader.skip()?,
+            }
+        }
+        Ok(fields.into_prediction())
+    }
+}
+
+/// The members of a device prediction, like [`RequestFields`].
+#[derive(Default)]
+struct DeviceFields<'a> {
+    device: Option<Option<Cow<'a, str>>>,
+    prediction: Option<Result<SlowdownPrediction, String>>,
+    best_ratio: Option<Option<f64>>,
+    best_slowdown: Option<Option<f64>>,
+}
+
+impl DeviceFields<'_> {
+    fn into_prediction(self) -> Result<DevicePrediction, String> {
+        let number = |value: Option<Option<f64>>, name: &str| {
+            value
+                .flatten()
                 .ok_or_else(|| format!("device prediction is missing number '{name}'"))
         };
         Ok(DevicePrediction {
-            device: doc
-                .get("device")
-                .and_then(Json::as_str)
+            device: self
+                .device
+                .flatten()
                 .ok_or("device prediction is missing 'device'")?
                 .parse()?,
-            prediction: SlowdownPrediction::from_json(
-                doc.get("prediction").ok_or("device prediction is missing 'prediction'")?,
-            )?,
-            best_ratio: number("best_ratio")?,
-            best_slowdown: number("best_slowdown")?,
+            prediction: self.prediction.ok_or("device prediction is missing 'prediction'")??,
+            best_ratio: number(self.best_ratio, "best_ratio")?,
+            best_slowdown: number(self.best_slowdown, "best_slowdown")?,
         })
     }
+}
+
+/// Reads a slowdown decomposition (`s_drd`, `s_cache`, `s_store`, checked
+/// in that order).
+fn read_slowdown(reader: &mut Reader<'_>) -> Decoded<SlowdownPrediction> {
+    const NAMES: [&str; 3] = ["s_drd", "s_cache", "s_store"];
+    let mut values = [None::<Option<f64>>; 3];
+    if reader.peek()? == Kind::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match NAMES.iter().position(|&name| name == key) {
+                Some(i) if values[i].is_none() => values[i] = Some(reader.number_or_skip()?),
+                _ => reader.skip()?,
+            }
+        }
+    } else {
+        reader.skip()?;
+    }
+    let mut fields = [0.0; 3];
+    for ((field, value), name) in fields.iter_mut().zip(values).zip(NAMES) {
+        *field = match value {
+            None => return Ok(Err(format!("prediction is missing field '{name}'"))),
+            Some(None) => return Ok(Err(format!("prediction field '{name}' must be a number"))),
+            Some(Some(value)) => value,
+        };
+    }
+    let [drd, cache, store] = fields;
+    Ok(Ok(SlowdownPrediction { drd, cache, store }))
 }
 
 /// Server counter snapshot (the `stats` payload).
@@ -500,70 +710,75 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encodes as a frame body.
-    pub fn to_json(&self) -> Json {
+    /// Renders the frame body. Predictions, `ok` and errors are written
+    /// straight to text, with numbers and strings formatted exactly as
+    /// [`Json::render`] formats them; only the rare `stats` answer goes
+    /// through a [`Json`] tree.
+    pub fn render(&self) -> String {
         match self {
-            Response::Predictions { id, results } => Json::obj(vec![
-                ("kind", "predictions".into()),
-                ("id", (*id).into()),
-                (
-                    "results",
-                    Json::Arr(
-                        results
-                            .iter()
-                            .map(|devices| {
-                                Json::obj(vec![(
-                                    "devices",
-                                    Json::Arr(devices.iter().map(|d| d.to_json()).collect()),
-                                )])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Stats(snapshot) => snapshot.to_json(),
-            Response::Ok => Json::obj(vec![("kind", "ok".into())]),
-            Response::Error { code, detail } => Json::obj(vec![
-                ("kind", "error".into()),
-                ("code", code.as_str().into()),
-                ("detail", detail.as_str().into()),
-            ]),
+            Response::Predictions { id, results } => {
+                // ~210 bytes per device prediction.
+                let size = results.iter().map(|devices| 16 + 224 * devices.len()).sum::<usize>();
+                let mut out = String::with_capacity(64 + size);
+                out.push_str("{\"kind\":\"predictions\",\"id\":");
+                json::write_number(*id as f64, &mut out);
+                out.push_str(",\"results\":[");
+                for (i, devices) in results.iter().enumerate() {
+                    out.push_str(if i == 0 { "{\"devices\":[" } else { ",{\"devices\":[" });
+                    for (j, device) in devices.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        device.write(&mut out);
+                    }
+                    out.push_str("]}");
+                }
+                out.push_str("]}");
+                out
+            }
+            Response::Stats(snapshot) => snapshot.to_json().render(),
+            Response::Ok => "{\"kind\":\"ok\"}".to_string(),
+            Response::Error { code, detail } => {
+                let mut out = String::with_capacity(40 + detail.len());
+                out.push_str("{\"kind\":\"error\",\"code\":");
+                json::write_string(code.as_str(), &mut out);
+                out.push_str(",\"detail\":");
+                json::write_string(detail, &mut out);
+                out.push('}');
+                out
+            }
         }
     }
 
     /// Decodes a response frame body.
+    ///
+    /// Predictions, `ok` and errors are read once, straight into the
+    /// answer; a `stats` body is parsed again into a tree. Checks run in
+    /// a fixed order whatever the member order: for predictions the id,
+    /// the `results` type, then the first invalid entry.
     pub fn from_text(body: &str) -> Result<Response, String> {
-        let doc = json::parse(body).map_err(|e| e.to_string())?;
-        match doc.get("kind").and_then(Json::as_str) {
+        let mut reader = Reader::new(body);
+        let fields = ResponseFields::read(&mut reader).map_err(|e| e.to_string())?;
+        reader.finish().map_err(|e| e.to_string())?;
+        match fields.kind.flatten().as_deref() {
             Some("predictions") => {
-                let id = doc.get("id").and_then(Json::as_u64).ok_or("missing response id")?;
-                let results = doc
-                    .get("results")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'results' array")?
-                    .iter()
-                    .map(|entry| {
-                        entry
-                            .get("devices")
-                            .and_then(Json::as_arr)
-                            .ok_or("result entry is missing 'devices'")?
-                            .iter()
-                            .map(DevicePrediction::from_json)
-                            .collect::<Result<Vec<_>, String>>()
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
+                let id =
+                    fields.id.flatten().and_then(json::exact_u64).ok_or("missing response id")?;
+                let results = fields.results.ok_or("missing 'results' array")??;
                 Ok(Response::Predictions { id, results })
             }
-            Some("stats") => Ok(Response::Stats(StatsSnapshot::from_json(&doc)?)),
+            Some("stats") => {
+                let doc = json::parse(body).map_err(|e| e.to_string())?;
+                Ok(Response::Stats(StatsSnapshot::from_json(&doc)?))
+            }
             Some("ok") => Ok(Response::Ok),
             Some("error") => {
-                let code = doc
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .and_then(ErrorCode::parse)
+                let code = fields
+                    .code
+                    .flatten()
+                    .and_then(|code| ErrorCode::parse(&code))
                     .ok_or("error response with unknown code")?;
-                let detail =
-                    doc.get("detail").and_then(Json::as_str).unwrap_or_default().to_string();
+                let detail = fields.detail.flatten().unwrap_or_default().into_owned();
                 Ok(Response::Error { code, detail })
             }
             other => Err(format!("unknown response kind {other:?}")),
@@ -571,10 +786,106 @@ impl Response {
     }
 }
 
+/// The members of a response body a decoder looks at, like
+/// [`RequestFields`]: first occurrences, `Some(None)` for a member of the
+/// wrong type.
+#[derive(Default)]
+struct ResponseFields<'a> {
+    kind: Option<Option<Cow<'a, str>>>,
+    id: Option<Option<f64>>,
+    results: Option<Result<Vec<Vec<DevicePrediction>>, String>>,
+    code: Option<Option<Cow<'a, str>>>,
+    detail: Option<Option<Cow<'a, str>>>,
+}
+
+impl<'a> ResponseFields<'a> {
+    fn read(reader: &mut Reader<'a>) -> Result<ResponseFields<'a>, ParseError> {
+        let mut fields = ResponseFields::default();
+        if reader.peek()? != Kind::Object {
+            reader.skip()?;
+            return Ok(fields);
+        }
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "kind" if fields.kind.is_none() => fields.kind = Some(reader.string_or_skip()?),
+                "id" if fields.id.is_none() => fields.id = Some(reader.number_or_skip()?),
+                "results" if fields.results.is_none() => {
+                    fields.results = Some(read_results(reader)?)
+                }
+                "code" if fields.code.is_none() => fields.code = Some(reader.string_or_skip()?),
+                "detail" if fields.detail.is_none() => {
+                    fields.detail = Some(reader.string_or_skip()?)
+                }
+                _ => reader.skip()?,
+            }
+        }
+        Ok(fields)
+    }
+}
+
+/// Reads a `results` member: per-signature device predictions, or the
+/// first reason they are not.
+fn read_results(reader: &mut Reader<'_>) -> Decoded<Vec<Vec<DevicePrediction>>> {
+    read_list(reader, "missing 'results' array", read_entry)
+}
+
+/// Reads one `results` entry, `{"devices": [..]}`.
+fn read_entry(reader: &mut Reader<'_>) -> Decoded<Vec<DevicePrediction>> {
+    const MISSING: &str = "result entry is missing 'devices'";
+    let mut devices = None;
+    if reader.peek()? == Kind::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            if key == "devices" && devices.is_none() {
+                devices = Some(read_list(reader, MISSING, DevicePrediction::read)?);
+            } else {
+                reader.skip()?;
+            }
+        }
+    } else {
+        reader.skip()?;
+    }
+    Ok(devices.unwrap_or_else(|| Err(MISSING.to_string())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    // The exact bytes of today's frames; a renderer change must keep them.
+    const GOLDEN_PREDICTIONS: &str = concat!(
+        r#"{"kind":"predictions","id":9,"results":[{"devices":[{"device":"CXL-A","prediction":{"s_drd":2,"#,
+        r#""s_cache":-0.125,"s_store":0.000003,"total":1.875003},"best_ratio":1,"best_slowdown":250000000000000000},"#,
+        r#"{"device":"NUMA","prediction":{"s_drd":0.1,"s_cache":0.2,"s_store":-7,"total":-6.7},"#,
+        r#""best_ratio":0.35,"best_slowdown":0.0000001}]},{"devices":[{"device":"CXL-A","#,
+        r#""prediction":{"s_drd":0,"s_cache":0,"s_store":123456.789,"total":123456.789},"#,
+        r#""best_ratio":0.5,"best_slowdown":-602000000000000000000000},{"device":"NUMA","#,
+        r#""prediction":{"s_drd":0.3333333333333333,"s_cache":40000000000000000,"s_store":9007199254740992,"#,
+        r#""total":49007199254740990},"best_ratio":0,"best_slowdown":2}]}]}"#,
+    );
+    const GOLDEN_STATS: &str = concat!(
+        r#"{"kind":"stats","accepted":5,"shed":1,"requests":9,"predictions":100,"completed":8,"#,
+        r#""protocol_errors":1,"model_errors":2,"deadline_exceeded":3,"calibrations":12,"#,
+        r#""uptime_us":99,"latency_us":{"ok":{"count":0,"sum":0,"buckets":{}},"bad-request":{"count":2,"#,
+        r#""sum":300,"buckets":{"1":1,"512":1}},"model":{"count":4,"sum":1800,"buckets":{"1":1,"#,
+        r#""512":1,"1024":2}},"deadline":{"count":6,"sum":4500,"buckets":{"1":1,"512":1,"#,
+        r#""1024":2,"2048":2}},"uncalibrated":{"count":8,"sum":8400,"buckets":{"1":1,"#,
+        r#""512":1,"1024":2,"2048":3,"4096":1}},"shutting-down":{"count":10,"sum":13500,"#,
+        r#""buckets":{"1":1,"512":1,"1024":2,"2048":3,"4096":3}}}}"#,
+    );
+    const GOLDEN_ERROR: &str =
+        r#"{"kind":"error","code":"model","detail":"signature \"w\\x\" has \u0001\t\n→ é 😀"}"#;
+    const GOLDEN_REQUEST: &str = concat!(
+        r#"{"kind":"predict","id":17,"platform":"SPR2S","devices":["CXL-B","NUMA"],"#,
+        r#""signatures":[{"cycles":10000,"s_llc":3000,"s_cache":1000,"s_sb":500,"memory_active":6000,"#,
+        r#""latency":250,"mlp":10,"r_lfb_hit":0.2,"r_mem":0.5},{"cycles":10000,"s_llc":3000,"#,
+        r#""s_cache":1000,"s_sb":500,"memory_active":6000,"latency":0.000001,"mlp":10,"#,
+        r#""r_lfb_hit":0.2,"r_mem":0.5},{"cycles":10000,"s_llc":3000,"s_cache":1000,"#,
+        r#""s_sb":500,"memory_active":6000,"latency":-350000000000000000000,"mlp":10,"#,
+        r#""r_lfb_hit":0.2,"r_mem":0.5}]}"#,
+    );
 
     fn signature(latency: f64) -> Signature {
         Signature {
@@ -701,6 +1012,42 @@ mod tests {
             let error = Request::from_text(body).unwrap_err();
             assert!(error.contains(want), "body {body:?}: error {error:?} must mention {want:?}");
         }
+        // A signature missing a field, with an unknown one, with a
+        // non-number value, and not an object at all.
+        let valid = PredictRequest {
+            id: 1,
+            platform: Platform::Spr2s,
+            devices: Vec::new(),
+            signatures: vec![signature(250.0)],
+        }
+        .to_json()
+        .render();
+        for (body, want) in [
+            (valid.replacen(",\"mlp\":10", "", 1), "signature is missing field 'mlp'"),
+            (
+                valid.replacen("\"cycles\"", "\"cycels\"", 1),
+                "unknown signature field 'cycels'",
+            ),
+            (valid.replacen("10000", "\"x\"", 1), "signature field 'cycles' must be a number"),
+            (valid.replacen("[{", "[[],{", 1), "signature must be a JSON object"),
+        ] {
+            assert_ne!(body, valid);
+            assert_eq!(Request::from_text(&body).unwrap_err(), format!("signature 0: {want}"));
+        }
+    }
+
+    #[test]
+    fn nesting_deeper_than_a_worker_stack_is_an_error_not_a_crash() {
+        // A megabyte of '[' is one frame; decoding it must not recurse.
+        let depth = 1 << 20;
+        let nested = "[".repeat(depth) + &"]".repeat(depth);
+        let error = Request::from_text(&nested).unwrap_err();
+        assert_eq!(error, "request must be an object with a string 'kind'");
+        let member = format!("{{\"kind\":\"predict\",\"x\":{nested}}}");
+        assert!(Request::from_text(&member).unwrap_err().contains("'platform'"));
+        let open = "[".repeat(depth);
+        assert!(Request::from_text(&open).unwrap_err().contains("unexpected end of input"));
+        assert!(Response::from_text(&nested).unwrap_err().contains("unknown response kind"));
     }
 
     #[test]
@@ -714,7 +1061,7 @@ mod tests {
                 best_slowdown: 0.02,
             }]],
         };
-        assert_eq!(Response::from_text(&response.to_json().render()).unwrap(), response);
+        assert_eq!(Response::from_text(&response.render()).unwrap(), response);
         let stats = Response::Stats(StatsSnapshot {
             accepted: 5,
             shed: 1,
@@ -734,13 +1081,88 @@ mod tests {
                 histogram.snapshot()
             })),
         });
-        assert_eq!(Response::from_text(&stats.to_json().render()).unwrap(), stats);
+        assert_eq!(Response::from_text(&stats.render()).unwrap(), stats);
         let error = Response::Error {
             code: ErrorCode::Overloaded,
             detail: "accept queue full".to_string(),
         };
-        assert_eq!(Response::from_text(&error.to_json().render()).unwrap(), error);
+        assert_eq!(Response::from_text(&error.render()).unwrap(), error);
         assert_eq!(Response::from_text("{\"kind\":\"ok\"}").unwrap(), Response::Ok);
+    }
+
+    /// One answer of each kind, with the number shapes the renderer
+    /// must get right: integral, fractional, negative, below 1e-5 and
+    /// above 1e16.
+    fn golden_responses() -> [Response; 4] {
+        let prediction = |device, drd, cache, store, best_ratio, best_slowdown| DevicePrediction {
+            device,
+            prediction: SlowdownPrediction { drd, cache, store },
+            best_ratio,
+            best_slowdown,
+        };
+        [
+            Response::Predictions {
+                id: 9,
+                results: vec![
+                    vec![
+                        prediction(DeviceKind::CxlA, 2.0, -0.125, 3e-6, 1.0, 2.5e17),
+                        prediction(DeviceKind::Numa, 0.1, 0.2, -7.0, 0.35, 1e-7),
+                    ],
+                    vec![
+                        prediction(DeviceKind::CxlA, 0.0, -0.0, 123456.789, 0.5, -6.02e23),
+                        prediction(DeviceKind::Numa, 1.0 / 3.0, 4e16, 9007199254740993.0, 0.0, 2.0),
+                    ],
+                ],
+            },
+            Response::Stats(StatsSnapshot {
+                accepted: 5,
+                shed: 1,
+                requests: 9,
+                predictions: 100,
+                completed: 8,
+                protocol_errors: 1,
+                model_errors: 2,
+                deadline_exceeded: 3,
+                calibrations: 12,
+                uptime_us: 99,
+                latency_us: Box::new(std::array::from_fn(|i| {
+                    let histogram = camp_obs::Histogram::new();
+                    for us in 0..i as u64 * 2 {
+                        histogram.record(us * 300);
+                    }
+                    histogram.snapshot()
+                })),
+            }),
+            Response::Ok,
+            Response::Error {
+                code: ErrorCode::Model,
+                detail: "signature \"w\\x\" has \u{1}\t\n→ é 😀".to_string(),
+            },
+        ]
+    }
+
+    #[test]
+    fn golden_frames_are_pinned_byte_for_byte() {
+        let want: [&str; 4] = [
+            GOLDEN_PREDICTIONS,
+            GOLDEN_STATS,
+            r#"{"kind":"ok"}"#,
+            GOLDEN_ERROR,
+        ];
+        for (response, want) in golden_responses().iter().zip(want) {
+            let body = response.render();
+            assert_eq!(body, want);
+            assert_eq!(&Response::from_text(&body).unwrap(), response);
+        }
+        let request = PredictRequest {
+            id: 17,
+            platform: Platform::Spr2s,
+            devices: vec![DeviceKind::CxlB, DeviceKind::Numa],
+            signatures: vec![signature(250.0), signature(1e-6), signature(-3.5e20)],
+        };
+        let body = request.to_json().render();
+        assert_eq!(body, GOLDEN_REQUEST);
+        assert_eq!(Request::from_text(&body).unwrap(), Request::Predict(request));
     }
 
     #[test]

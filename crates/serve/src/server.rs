@@ -320,7 +320,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, sender: &SyncSender<TcpS
                     ),
                 };
                 let mut writer = BufWriter::new(stream);
-                let _ = write_frame(&mut writer, &error.to_json().render());
+                let _ = write_frame(&mut writer, &error.render());
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -411,7 +411,7 @@ fn respond(
     response: &Response,
     start: Instant,
 ) -> bool {
-    let body = response.to_json().render();
+    let body = response.render();
     shared.counters.record(response, start);
     write_frame(writer, &body).is_ok()
 }

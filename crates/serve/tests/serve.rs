@@ -372,9 +372,7 @@ fn concurrent_clients_get_identical_answers() {
                 let mut client =
                     Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
                 (0..20)
-                    .map(|id| {
-                        client.predict(predict_request(id)).expect("round trip").to_json().render()
-                    })
+                    .map(|id| client.predict(predict_request(id)).expect("round trip").render())
                     .collect::<Vec<String>>()
             })
         })
