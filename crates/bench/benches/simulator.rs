@@ -12,8 +12,7 @@
 #[path = "tb.rs"]
 mod tb;
 
-use camp_bench::par;
-use camp_sim::{DeviceKind, Machine, OpTrace, Platform, TraceCache, Workload};
+use camp_sim::{par, DeviceKind, Machine, OpTrace, Platform, TraceCache, Workload};
 use camp_workloads::kernels::{
     Gather, GraphAlgo, GraphKernel, GraphShape, PointerChase, StoreKernel, StorePattern,
     StreamKernel,

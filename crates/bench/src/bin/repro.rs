@@ -20,8 +20,9 @@
 //! recorded `experiment` spans — concurrent experiments cannot interleave
 //! them.
 
-use camp_bench::{experiments, explain, par, run_experiment, Context, ExperimentError, Table};
+use camp_bench::{experiments, explain, run_experiment, Context, ExperimentError, Table};
 use camp_obs::{chrome, manifest, AttrValue, Json};
+use camp_sim::par;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

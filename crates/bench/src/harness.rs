@@ -9,10 +9,10 @@
 //! cache, and two threads requesting the same endpoint run never simulate
 //! it twice — the second blocks until the first finishes.
 
-use crate::par;
 use camp_core::{Calibration, CampPredictor};
 use camp_obs::Recorder;
 use camp_sim::memo::Memo;
+use camp_sim::par;
 use camp_sim::{DeviceKind, Machine, Platform, RunReport, TraceCache, Workload};
 use std::sync::Arc;
 

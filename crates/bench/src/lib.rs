@@ -11,7 +11,9 @@ pub mod corpus;
 pub mod experiments;
 pub mod explain;
 pub mod harness;
-pub mod par;
+
+/// The parallel map, re-exported from its home in `camp-sim`.
+pub use camp_sim::par;
 
 pub use harness::{Context, Table};
 

@@ -2,8 +2,8 @@
 //! N threads hammering the same and distinct run keys must produce reports
 //! identical to serial runs, and each key must be simulated exactly once.
 
-use camp_bench::{par, Context};
-use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
+use camp_bench::Context;
+use camp_sim::{par, DeviceKind, Machine, Platform, RunReport, Workload};
 use camp_workloads::kernels::{Gather, PointerChase, StreamKernel};
 
 fn fleet() -> Vec<Box<dyn Workload>> {

@@ -16,7 +16,7 @@
 use crate::error::ModelError;
 use crate::signature::{MeasuredComponents, Signature};
 use crate::stats::{proportional_fit, Hyperbola};
-use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
+use camp_sim::{par, DeviceKind, Machine, Platform, RunReport, Workload};
 use std::borrow::Borrow;
 
 /// Fitted platform constants for one (platform, slow device) pair.
@@ -52,7 +52,14 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Fits constants using the standard calibration microbenchmark suite.
+    /// Fits constants using the standard calibration microbenchmark suite
+    /// (55 probes), with the probe runs fanned out over every core
+    /// ([`par::default_jobs`]). The fit is pure, so the result is
+    /// bit-identical to [`Calibration::fit_with`] over the same suite; only
+    /// the wall-clock differs. Each worker thread holds one engine working
+    /// set (its own scratch arena, up to the platform's LLC slot array,
+    /// plus the probe's trace), so peak memory rises by about one engine
+    /// per extra core while the fit runs.
     ///
     /// # Example
     ///
@@ -64,28 +71,50 @@ impl Calibration {
     /// assert!(calib.k_store > 0.0);
     /// ```
     pub fn fit(platform: Platform, device: DeviceKind) -> Self {
-        Self::fit_with(platform, device, &camp_workloads::calibration_suite())
+        Self::fit_probes(
+            platform,
+            device,
+            &camp_workloads::calibration_suite(),
+            par::default_jobs(),
+        )
     }
 
     /// Fits constants from a caller-supplied probe set (useful for tests
     /// and for studying calibration sensitivity): runs each probe on DRAM
-    /// and on the slow tier, one after another, then fits the reports with
-    /// [`Calibration::from_probe_runs`]. The runs stay serial on purpose:
-    /// concurrent probe runs multiply the engine's resident working set,
-    /// which raised the `camp-serve` daemon's peak RSS from 13.5 MB to
-    /// ~24.9 MB when its startup fits ran them in parallel.
+    /// and on the slow tier on the calling thread, then fits the reports
+    /// with [`Calibration::from_probe_runs`]. The runs stay serial on
+    /// purpose, so the fit holds one engine working set at a time: running
+    /// them on two workers raised the `camp-serve` daemon's peak RSS (five
+    /// reduced probes per pair) from 13.6 MB to 27.2 MB, and to 25.5 MB
+    /// with the calling thread as one of the two, because each extra worker
+    /// adds a whole engine (SPR2S's 7.5 MB LLC slot array, a trace, the
+    /// thread's own state). [`Calibration::fit`] takes the parallel path.
     ///
     /// # Panics
     ///
     /// Panics if `probes` is empty or the simulator rejects a probe run
     /// (invalid platform/device parameters, empty probe footprint).
     pub fn fit_with(platform: Platform, device: DeviceKind, probes: &[Box<dyn Workload>]) -> Self {
+        Self::fit_probes(platform, device, probes, 1)
+    }
+
+    /// The one probe path behind [`Calibration::fit`] and
+    /// [`Calibration::fit_with`]: builds each probe's trace once, runs it
+    /// on the DRAM machine and on the slow machine, over up to `jobs`
+    /// threads, and fits the (DRAM, slow) pairs in probe order.
+    fn fit_probes(
+        platform: Platform,
+        device: DeviceKind,
+        probes: &[Box<dyn Workload>],
+        jobs: usize,
+    ) -> Self {
         let dram_machine = Machine::dram_only(platform);
         let slow_machine = Machine::slow_only(platform, device);
-        let runs: Vec<_> = probes
-            .iter()
-            .map(|probe| (dram_machine.run(probe.as_ref()), slow_machine.run(probe.as_ref())))
-            .collect();
+        let runs = par::par_map(jobs, probes, |probe| {
+            let probe = probe.as_ref();
+            let trace = probe.trace();
+            (dram_machine.run_trace(probe, &trace), slow_machine.run_trace(probe, &trace))
+        });
         Self::from_probe_runs(platform, device, &runs)
             .unwrap_or_else(|error| panic!("calibration needs probes and valid runs: {error}"))
     }
@@ -93,8 +122,9 @@ impl Calibration {
     /// Fits constants from probe runs: one (DRAM-only, slow-only) report
     /// pair per calibration microbenchmark, in probe order. The fit is pure
     /// — it simulates nothing — so the caller decides how the runs are
-    /// produced ([`Calibration::fit_with`] runs them serially; the
-    /// experiment harness recalls them from its memoized run cache).
+    /// produced ([`Calibration::fit`] runs them on every core,
+    /// [`Calibration::fit_with`] on the calling thread; the experiment
+    /// harness recalls them from its memoized run cache).
     ///
     /// Rejects an empty run set with [`ModelError::NoProbes`] and a "slow"
     /// report without a slow tier with [`ModelError::MissingSlowTier`].
@@ -227,6 +257,52 @@ mod tests {
     #[should_panic(expected = "needs probes")]
     fn empty_probe_set_rejected() {
         let _ = Calibration::fit_with(Platform::Spr2s, DeviceKind::CxlA, &[]);
+    }
+
+    /// Every field of a calibration, floats as raw bits, so two fits
+    /// compare bit for bit (`==` on `f64` would let `0.0 == -0.0` pass).
+    fn fit_bits(calib: &Calibration) -> (Platform, DeviceKind, [u64; 9], usize) {
+        let floats = [
+            calib.hyperbola.p,
+            calib.hyperbola.q,
+            calib.k_drd,
+            calib.k_drd_aol,
+            calib.l3_hit_latency,
+            calib.k_cache,
+            calib.k_store,
+            calib.dram_idle_latency,
+            calib.slow_idle_latency,
+        ];
+        (calib.platform, calib.device, floats.map(f64::to_bits), calib.samples)
+    }
+
+    #[test]
+    fn parallel_probe_path_is_bit_identical_to_serial() {
+        let probes = tiny_probes();
+        let serial = Calibration::fit_probes(Platform::Spr2s, DeviceKind::CxlB, &probes, 1);
+        let parallel = Calibration::fit_probes(Platform::Spr2s, DeviceKind::CxlB, &probes, 3);
+        assert_eq!(fit_bits(&serial), fit_bits(&parallel));
+        assert_eq!(parallel.samples, probes.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "workload 'calib.t-empty' declares a zero-byte footprint")]
+    fn rejected_probe_panics_through_the_parallel_path() {
+        struct Empty;
+        impl Workload for Empty {
+            fn name(&self) -> &str {
+                "calib.t-empty"
+            }
+            fn footprint_bytes(&self) -> u64 {
+                0
+            }
+            fn ops(&self) -> Box<dyn Iterator<Item = camp_sim::Op> + '_> {
+                Box::new(std::iter::empty())
+            }
+        }
+        let mut probes = tiny_probes();
+        probes.insert(2, Box::new(Empty));
+        let _ = Calibration::fit_probes(Platform::Spr2s, DeviceKind::CxlA, &probes, 3);
     }
 
     #[test]

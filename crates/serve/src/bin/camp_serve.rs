@@ -9,15 +9,16 @@
 //! camp-serve --manifest-out serve.jsonl     # write manifest on shutdown
 //! ```
 //!
-//! The daemon prints `listening on <addr> (<n> calibrations)` once ready
-//! — scripts (and the CI smoke job) wait for that line — then serves
-//! until a `shutdown` request arrives.
+//! The daemon prints `listening on <addr> (<n> calibrations in <s> s)`
+//! once ready, `<s>` being the wall-clock of the startup fits and bind —
+//! scripts (and the CI smoke job) wait for that line — then serves until
+//! a `shutdown` request arrives.
 
 use camp_serve::{ServeConfig, Server};
 use camp_sim::{DeviceKind, Platform};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Removes `flag` and its value from `args`, rejecting a following flag
 /// as the value.
@@ -100,6 +101,7 @@ fn main() -> ExitCode {
         }
     };
     let calibrations = config.pairs.len();
+    let started = Instant::now();
     let server = match Server::start(config) {
         Ok(server) => server,
         Err(error) => {
@@ -107,7 +109,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("listening on {} ({calibrations} calibrations)", server.addr());
+    println!(
+        "listening on {} ({calibrations} calibrations in {:.1} s)",
+        server.addr(),
+        started.elapsed().as_secs_f64()
+    );
     match server.join() {
         Ok(snapshot) => {
             eprintln!(

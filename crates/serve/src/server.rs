@@ -68,8 +68,15 @@ pub struct ServeConfig {
     /// CLI.
     pub test_delay: Option<Duration>,
     /// How to obtain a calibration for a pair. Defaults to the real
-    /// simulation-backed [`Calibration::fit`]; tests substitute a cheap
-    /// synthetic fit so a server starts in microseconds.
+    /// simulation-backed [`Calibration::fit`], which runs its probes on
+    /// every core: the fastest start, at the cost of about one engine
+    /// working set per extra core in peak RSS while it runs (`camp-serve
+    /// --platform SPR2S` on 2 cores: ~23 s to ready and an 80 MB peak,
+    /// against ~38 s and 47.5 MB with serial fits). A hook that
+    /// must keep the daemon's peak small uses [`Calibration::fit_with`],
+    /// which keeps one engine (two workers raised the peak from 13.6 MB
+    /// to 27.2 MB over five reduced probes per pair). Tests substitute a
+    /// cheap synthetic fit so a server starts in microseconds.
     pub calibrate: fn(Platform, DeviceKind) -> Calibration,
 }
 

@@ -20,7 +20,9 @@
 //!   ([`optrace`], on the generic [`memo::Memo`]) so one generated op
 //!   stream feeds every engine run and every policy profiling pass, and
 //!   one trace-backed workload ([`Traced`]) whose file codec replays
-//!   memory traces captured outside this program.
+//!   memory traces captured outside this program,
+//! - an order-preserving parallel map ([`par`]) that fans independent
+//!   runs out over cores.
 //!
 //! Runs produce a [`RunReport`] holding the full Table 5 counter set, which
 //! the `camp-core` models consume exactly as they would consume `perf`
@@ -56,6 +58,7 @@ pub mod mem;
 pub mod memo;
 pub mod op;
 pub mod optrace;
+pub mod par;
 pub mod placement;
 pub mod prefetch;
 pub mod report;

@@ -1,11 +1,12 @@
 //! Minimal order-preserving parallel map over scoped threads.
 //!
-//! The container ships no external crates, so instead of rayon this module
-//! provides the one primitive the harness needs: run a closure over every
-//! element of a slice on up to `jobs` worker threads, collecting results in
-//! input order. Work is distributed dynamically (an atomic index), so
-//! uneven item costs — endpoint runs range from milliseconds to tens of
-//! seconds — still balance across cores.
+//! The workspace has no external dependencies, so instead of rayon this
+//! module provides the one fan-out primitive its callers need (the
+//! experiment harness, the calibration fit, the benches): run a closure
+//! over every element of a slice on up to `jobs` worker threads,
+//! collecting results in input order. Work is distributed dynamically (an
+//! atomic index), so uneven item costs — endpoint runs range from
+//! milliseconds to tens of seconds — still balance across cores.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
