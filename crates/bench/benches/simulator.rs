@@ -1,8 +1,10 @@
-//! Benches for the simulation substrate: op throughput across workload
-//! shapes and machine configurations, the parallel-harness suite
-//! throughput, and the op-trace layer (generation cold vs cached-hit;
-//! these quantify the cost of regenerating the paper's experiments —
-//! every figure is some number of these runs).
+//! Benches for the simulation substrate, layer by layer: engine op
+//! throughput across workload shapes and machine configurations (on
+//! traces built before timing starts, so the rows time simulation
+//! alone), graph construction, the parallel-harness suite throughput, and
+//! the op-trace layer (generation cold vs cached-hit; these quantify the
+//! cost of regenerating the paper's experiments — every figure is some
+//! number of these runs).
 //!
 //! Run with `cargo bench --bench simulator`; append `-- --json PATH` to
 //! archive a machine-readable snapshot (see `BENCH_harness.json`), or
@@ -76,25 +78,32 @@ fn suite_mix(cfg: &Config, slots: usize) -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-fn engine_throughput(harness: &mut tb::Harness, cfg: &Config) {
+/// Simulation alone: each workload's trace is built once, outside the
+/// timed closure, and every row counts the trace's ops.
+fn engine_throughput(harness: &mut tb::Harness, cfg: &Config, label: &str, machine: &Machine) {
     for (name, workload) in workloads(cfg) {
-        let machine = Machine::dram_only(Platform::Spr2s);
-        harness.bench_throughput(&format!("engine-dram/{name}"), cfg.ops, cfg.samples, 1, || {
-            machine.run(workload.as_ref())
-        });
+        let trace = OpTrace::from_workload(workload.as_ref());
+        harness.bench_throughput(
+            &format!("engine-{label}/{name}"),
+            trace.len() as u64,
+            cfg.samples,
+            1,
+            || machine.run_trace(workload.as_ref(), &trace),
+        );
     }
 }
 
-fn engine_tiered_throughput(harness: &mut tb::Harness, cfg: &Config) {
-    for (name, workload) in workloads(cfg) {
-        let machine = Machine::interleaved(Platform::Spr2s, DeviceKind::CxlA, 0.7);
-        harness.bench_throughput(
-            &format!("engine-interleaved/{name}"),
-            cfg.ops,
-            cfg.samples,
-            1,
-            || machine.run(workload.as_ref()),
-        );
+/// Graph construction alone: the suite's Kronecker and Twitter-like
+/// shapes (scale 16, degree 16) with a one-op traversal budget, so the
+/// CSR build is all that is timed.
+fn graph_build(harness: &mut tb::Harness, cfg: &Config) {
+    let scale = if cfg.graph_scale > 0 { cfg.graph_scale } else { 16 };
+    for (name, shape) in [
+        ("kron", GraphShape::Kron { scale, degree: 16 }),
+        ("twitter", GraphShape::TwitterLike { scale, degree: 16 }),
+    ] {
+        let workload = GraphKernel::new(format!("bench-{name}"), 1, shape, GraphAlgo::Pr, 1);
+        harness.bench(&format!("graph-build/{name}"), cfg.samples, 1, || workload.ops().count());
     }
 }
 
@@ -178,8 +187,14 @@ fn trace_generation(harness: &mut tb::Harness, cfg: &Config, workload: &dyn Work
 fn main() {
     let cfg = Config::from_args();
     let mut harness = tb::Harness::new();
-    engine_throughput(&mut harness, &cfg);
-    engine_tiered_throughput(&mut harness, &cfg);
+    engine_throughput(&mut harness, &cfg, "dram", &Machine::dram_only(Platform::Spr2s));
+    engine_throughput(
+        &mut harness,
+        &cfg,
+        "interleaved",
+        &Machine::interleaved(Platform::Spr2s, DeviceKind::CxlA, 0.7),
+    );
+    graph_build(&mut harness, &cfg);
     suite_throughput(&mut harness, &cfg);
     suite_generation(&mut harness, &cfg);
     harness.maybe_write_json().expect("snapshot written");

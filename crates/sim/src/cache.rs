@@ -1,10 +1,20 @@
 //! Set-associative cache model.
 //!
 //! Tag-only simulation: the cache tracks which lines are present and dirty,
-//! not their data. Storage is one flat array of 8-byte slots indexed by
-//! `set * ways + way`, which keeps even a 160 MB LLC model at ~21 MB of
-//! simulator memory and makes probes a short linear scan of one contiguous
-//! set.
+//! not their data. Storage is one flat array of 8-byte slots. Each set
+//! occupies `stride` slots, its way count rounded up to a power of two,
+//! starting at a multiple of `stride` slots from an origin aligned to
+//! `stride * 8` bytes; way `w` of set `s` is slot `s * stride + w`. So a
+//! set never straddles more cache lines than it must (a 15-way set is two
+//! 64-byte lines, not three), and a probe is a short linear scan of one
+//! contiguous set. The padding slots past `ways` stay empty: they are
+//! never matched, never filled and never counted. Even a 160 MB LLC model
+//! takes ~21 MB of simulator memory.
+//!
+//! Set index: line number modulo the set count, taken with a mask when
+//! the set count is a power of two (every L1 and L2, and SPR2S's LLC
+//! split among a power-of-two number of sharers) and with `%` otherwise
+//! (SKX2S's 11-way LLC, EMR2S's 160 MB LLC of 5 · 2^15 sets).
 //!
 //! Replacement: a line fills the first empty way of its set; a full set
 //! replaces its **last way**. Hits do not reorder the set. This is not LRU
@@ -58,10 +68,17 @@ pub struct Eviction {
 pub struct Cache {
     geometry: CacheGeometry,
     sets: u64,
+    /// `sets - 1` when `sets` is a power of two (index with a mask), else
+    /// `None` (index with `%`).
+    set_mask: Option<u64>,
     ways: usize,
+    /// Slots per set: `ways` rounded up to a power of two.
+    stride: usize,
+    /// Slot index of set 0, chosen so that it is `stride * 8`-byte aligned.
+    origin: usize,
     /// One slot per way: the line address OR [`VALID`] OR [`DIRTY`];
-    /// 0 is an empty slot. Only the first `sets * ways` are this cache's;
-    /// a reused buffer may be longer.
+    /// 0 is an empty slot. Only `sets * stride` slots from `origin` are
+    /// this cache's; a reused buffer may be longer.
     slots: Vec<u64>,
     hits: u64,
     misses: u64,
@@ -91,7 +108,10 @@ impl Cache {
         assert!(geometry.lines() >= geometry.ways as u64, "cache smaller than one set");
         assert!(geometry.ways <= 64, "associativity above 64 unsupported");
         let sets = geometry.sets();
-        let len = (sets * geometry.ways as u64) as usize;
+        let ways = geometry.ways as usize;
+        let stride = ways.next_power_of_two();
+        // Room for the sets wherever the aligned origin falls.
+        let len = sets as usize * stride + stride - 1;
         if slots.len() < len {
             // Fresh zeroed pages from the allocator, mapped on first write.
             slots = vec![0; len];
@@ -104,10 +124,16 @@ impl Cache {
                 }
             }
         }
+        let align = stride * std::mem::size_of::<u64>();
+        let misalign = slots.as_ptr() as usize % align;
+        let origin = (align - misalign) % align / std::mem::size_of::<u64>();
         Cache {
             geometry,
             sets,
-            ways: geometry.ways as usize,
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            ways,
+            stride,
+            origin,
             slots,
             hits: 0,
             misses: 0,
@@ -133,8 +159,12 @@ impl Cache {
     /// has once the dirty bit is masked off.
     #[inline]
     fn locate(&self, line_addr: u64) -> (usize, u64) {
-        let set = ((line_addr / LINE_BYTES) % self.sets) as usize;
-        (set * self.ways, (line_addr & LINE_MASK) | VALID)
+        let line = line_addr / LINE_BYTES;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        };
+        (self.origin + set as usize * self.stride, (line_addr & LINE_MASK) | VALID)
     }
 
     /// Way of `key` within the set starting at `base`.
@@ -210,8 +240,12 @@ impl Cache {
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> u64 {
-        let len = self.sets as usize * self.ways;
-        self.slots[..len].iter().filter(|&&slot| slot != 0).count() as u64
+        // Padding slots are always empty, so they add nothing.
+        let len = self.sets as usize * self.stride;
+        self.slots[self.origin..self.origin + len]
+            .iter()
+            .filter(|&&slot| slot != 0)
+            .count() as u64
     }
 
     /// (hits, misses) since construction.

@@ -386,7 +386,7 @@ impl<'a> Engine<'a> {
     fn schedule_fill(&mut self, time: f64, line: u64, levels: u8, dirty: bool) {
         let idx = self.scratch.fill_slab.len() as u64;
         self.scratch.fill_slab.push(Fill { line, levels, dirty });
-        self.scratch.fills.push(Reverse((Time(time), idx)));
+        self.scratch.fills.push(Reverse((Time::new(time), idx)));
     }
 
     /// Installs all fills due by `now` into the cache hierarchy, cascading

@@ -7,14 +7,35 @@
 //! coalesce into one entry, and a full buffer blocks further misses. Longer
 //! memory latency extends entry lifetimes, which is precisely how CXL
 //! latency converts into cache-level stalls.
+//!
+//! A buffer holds at most its capacity of entries (16 to 112 in every
+//! preset), so it is two flat arrays, line addresses and entries, scanned
+//! linearly, plus the least fill time among them. Releasing is one
+//! comparison with that minimum until an entry is due; only then does a
+//! pass drop every due entry and find the new minimum.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Total-ordered wrapper for non-NaN `f64` timestamps.
+/// Total-ordered wrapper for the engine's timestamps, which are finite
+/// and non-negative: there `f64::total_cmp` orders exactly as `<` does,
+/// except that it puts −0.0 before +0.0, which [`Time::new`] rules out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Time(pub f64);
+
+impl Time {
+    /// Wraps a timestamp.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics unless `t` is finite with its sign bit
+    /// clear.
+    #[inline]
+    pub(crate) fn new(t: f64) -> Time {
+        debug_assert!(
+            t.is_finite() && t.is_sign_positive(),
+            "timestamp {t} is not a finite value >= +0.0"
+        );
+        Time(t)
+    }
+}
 
 impl Eq for Time {}
 
@@ -25,8 +46,9 @@ impl PartialOrd for Time {
 }
 
 impl Ord for Time {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("timestamps are never NaN")
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -58,35 +80,6 @@ pub struct InflightEntry {
     pub wait_class: WaitClass,
 }
 
-/// Hasher for line-address keys: one multiply and a rotate. SipHash's
-/// flood resistance buys nothing here: a buffer holds at most its
-/// capacity of lines (at most 112 in every preset), so even colliding
-/// keys cost a scan of that many entries. [`InflightBuffer`] only
-/// iterates its map to count, so the order a hasher induces never
-/// reaches any output.
-#[derive(Debug, Clone, Copy, Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(byte as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        self.0 = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    /// The product's high bits depend on every key bit; rotate them down
-    /// into the bucket index so aligned and strided lines spread.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// A fixed-capacity miss-tracking buffer with per-line coalescing.
 ///
 /// Entries are keyed by line address; at most one entry per line exists at
@@ -107,8 +100,12 @@ impl Hasher for LineHasher {
 #[derive(Debug, Clone)]
 pub struct InflightBuffer {
     capacity: usize,
-    by_line: HashMap<u64, InflightEntry, BuildHasherDefault<LineHasher>>,
-    completions: BinaryHeap<Reverse<(Time, u64)>>,
+    /// Line address of each occupied entry; `entries[i]` is `lines[i]`'s.
+    lines: Vec<u64>,
+    entries: Vec<InflightEntry>,
+    /// Least fill time in `entries` (`INFINITY` when empty): nothing is
+    /// due before it.
+    next_fill: f64,
     allocations: u64,
     peak_occupancy: usize,
 }
@@ -123,8 +120,9 @@ impl InflightBuffer {
         assert!(capacity > 0, "buffer must have at least one entry");
         InflightBuffer {
             capacity,
-            by_line: HashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
-            completions: BinaryHeap::with_capacity(capacity + 1),
+            lines: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
+            next_fill: f64::INFINITY,
             allocations: 0,
             peak_occupancy: 0,
         }
@@ -136,27 +134,40 @@ impl InflightBuffer {
     }
 
     /// Releases all entries whose fill time is `<= now`.
+    #[inline]
     pub fn release_until(&mut self, now: f64) {
-        while let Some(&Reverse((Time(t), line))) = self.completions.peek() {
-            if t > now {
-                break;
-            }
-            self.completions.pop();
-            self.by_line.remove(&line);
+        if now < self.next_fill {
+            return;
         }
+        let mut kept = 0;
+        let mut next_fill = f64::INFINITY;
+        for i in 0..self.entries.len() {
+            let entry = self.entries[i];
+            if entry.fill_time > now {
+                self.lines[kept] = self.lines[i];
+                self.entries[kept] = entry;
+                kept += 1;
+                next_fill = next_fill.min(entry.fill_time);
+            }
+        }
+        self.lines.truncate(kept);
+        self.entries.truncate(kept);
+        self.next_fill = next_fill;
     }
 
     /// Looks up an in-flight entry for `line` (after releasing entries that
     /// completed by `now`).
+    #[inline]
     pub fn lookup(&mut self, line: u64, now: f64) -> Option<InflightEntry> {
         self.release_until(now);
-        self.by_line.get(&line).copied()
+        let i = self.lines.iter().position(|&held| held == line)?;
+        Some(self.entries[i])
     }
 
     /// Current number of occupied entries (after releasing up to `now`).
     pub fn occupancy(&mut self, now: f64) -> usize {
         self.release_until(now);
-        self.by_line.len()
+        self.entries.len()
     }
 
     /// Number of entries that would be occupied at `now`, without
@@ -166,7 +177,7 @@ impl InflightBuffer {
     /// boundary would destroy entries a later lagging `lookup` still
     /// coalesces on, perturbing the simulation being observed.
     pub fn occupancy_at(&self, now: f64) -> usize {
-        self.by_line.values().filter(|entry| entry.fill_time > now).count()
+        self.entries.iter().filter(|entry| entry.fill_time > now).count()
     }
 
     /// True if at least `reserve + 1` entries are free at `now`. Used by
@@ -177,15 +188,20 @@ impl InflightBuffer {
     }
 
     /// Returns the earliest time `>= now` at which a free entry is
-    /// guaranteed, releasing any entry that must complete to make room.
+    /// guaranteed, releasing any entry that must complete to make room:
+    /// on a full buffer, the entry with the least `(fill_time, line)`.
     /// Demand misses call this and absorb the wait as stall time.
     pub fn acquire_slot_at(&mut self, now: f64) -> f64 {
         self.release_until(now);
-        if self.by_line.len() < self.capacity {
+        if self.entries.len() < self.capacity {
             return now;
         }
-        let Reverse((Time(t), line)) = self.completions.pop().expect("full buffer has entries");
-        self.by_line.remove(&line);
+        let key = |i: usize| (self.entries[i].fill_time, self.lines[i]);
+        let victim = (1..self.entries.len()).fold(0, |v, i| if key(i) < key(v) { i } else { v });
+        let t = self.entries[victim].fill_time;
+        self.lines.swap_remove(victim);
+        self.entries.swap_remove(victim);
+        self.next_fill = self.entries.iter().fold(f64::INFINITY, |m, e| m.min(e.fill_time));
         t.max(now)
     }
 
@@ -197,12 +213,13 @@ impl InflightBuffer {
     /// must coalesce via [`lookup`](Self::lookup) first) or the buffer is
     /// over capacity (callers must acquire a slot first).
     pub fn allocate(&mut self, line: u64, fill_time: f64, wait_class: WaitClass) {
-        debug_assert!(!self.by_line.contains_key(&line), "line {line:#x} already in flight");
-        debug_assert!(self.by_line.len() < self.capacity, "allocation beyond capacity");
-        self.by_line.insert(line, InflightEntry { fill_time, wait_class });
-        self.completions.push(Reverse((Time(fill_time), line)));
+        debug_assert!(!self.lines.contains(&line), "line {line:#x} already in flight");
+        debug_assert!(self.entries.len() < self.capacity, "allocation beyond capacity");
+        self.lines.push(line);
+        self.entries.push(InflightEntry { fill_time, wait_class });
+        self.next_fill = self.next_fill.min(fill_time);
         self.allocations += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.by_line.len());
+        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
     }
 
     /// Total allocations since construction.
@@ -298,5 +315,34 @@ mod tests {
         assert!(Time(1.0) < Time(2.0));
         assert_eq!(Time(3.0), Time(3.0));
         assert!(Time(-1.0) < Time(0.0));
+    }
+
+    #[test]
+    fn time_order_matches_partial_cmp_on_non_negative_finite_values() {
+        let mut values = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::MAX,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            values.push((state >> 11) as f64 / 1024.0);
+            values.push(f64::from_bits(state >> 1).min(f64::MAX));
+        }
+        // Every value meets itself too: ties must compare equal.
+        for &x in &values {
+            for &y in &values {
+                assert_eq!(
+                    Time::new(x).cmp(&Time::new(y)),
+                    x.partial_cmp(&y).unwrap(),
+                    "{x:e} vs {y:e}"
+                );
+            }
+        }
     }
 }

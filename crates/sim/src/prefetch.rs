@@ -10,10 +10,11 @@
 /// Lines per 4 KiB tracking region.
 const REGION_LINES: u64 = 64;
 
-#[derive(Debug, Clone, Copy)]
+/// Stream state of one tracker. Its region and LRU stamp live in
+/// [`StreamPrefetcher`]'s own arrays, so the per-access search reads
+/// nothing else.
+#[derive(Debug, Clone, Copy, Default)]
 struct Tracker {
-    /// Region id (line number / 64); `u64::MAX` marks an unused tracker.
-    region: u64,
     /// Last line number observed for this stream.
     last_line: u64,
     /// Detected stride in lines (may be negative).
@@ -22,11 +23,12 @@ struct Tracker {
     confidence: u8,
     /// Next line number to prefetch (frontier of the stream).
     frontier: i64,
-    /// LRU stamp for tracker replacement.
-    lru: u64,
 }
 
-const UNUSED: u64 = u64::MAX;
+/// Region of an unused tracker. Region ids are below `2^58` (line numbers
+/// over 64), so this is neither equal nor adjacent to any of them, even
+/// with wrapping arithmetic.
+const UNUSED: u64 = 1 << 63;
 
 /// A stride-detecting stream prefetcher.
 ///
@@ -36,6 +38,11 @@ const UNUSED: u64 = u64::MAX;
 /// triggering access).
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
+    /// Region id (line number / 64) of each tracker, or [`UNUSED`].
+    regions: Vec<u64>,
+    /// LRU stamp of each tracker: the clock at its last access, 0 while
+    /// unused (the clock starts at 1).
+    stamps: Vec<u64>,
     trackers: Vec<Tracker>,
     distance: i64,
     degree: usize,
@@ -56,17 +63,9 @@ impl StreamPrefetcher {
     pub fn new(trackers: usize, distance: u32, degree: u32, cross_page: bool) -> Self {
         assert!(trackers > 0 && distance > 0 && degree > 0);
         StreamPrefetcher {
-            trackers: vec![
-                Tracker {
-                    region: UNUSED,
-                    last_line: 0,
-                    stride: 0,
-                    confidence: 0,
-                    frontier: 0,
-                    lru: 0,
-                };
-                trackers
-            ],
+            regions: vec![UNUSED; trackers],
+            stamps: vec![0; trackers],
+            trackers: vec![Tracker::default(); trackers],
             distance: distance as i64,
             degree: degree as usize,
             cross_page,
@@ -86,39 +85,32 @@ impl StreamPrefetcher {
         out.clear();
         self.clock += 1;
         let region = line / REGION_LINES;
-        // Find the tracker for this region or an adjacent one the stream
-        // may have crossed into.
-        let slot = self.trackers.iter().position(|t| {
-            t.region != UNUSED
-                && (t.region == region || (self.cross_page && t.region.abs_diff(region) == 1))
-        });
-        let slot = match slot {
-            Some(i) => i,
-            None => {
-                // Replace the LRU tracker.
-                let i = (0..self.trackers.len())
-                    .min_by_key(|&i| {
-                        if self.trackers[i].region == UNUSED {
-                            0
-                        } else {
-                            self.trackers[i].lru + 1
-                        }
-                    })
-                    .expect("trackers non-empty");
-                self.trackers[i] = Tracker {
-                    region,
-                    last_line: line,
-                    stride: 0,
-                    confidence: 0,
-                    frontier: line as i64,
-                    lru: self.clock,
-                };
-                return;
-            }
+        // Find the first tracker for this region or, across pages, an
+        // adjacent one the stream may have crossed into: `r - region` in
+        // {-1, 0, 1}, which the wrapped `+ 1` maps to {0, 1, 2}.
+        let slot = if self.cross_page {
+            self.regions.iter().position(|&r| r.wrapping_sub(region).wrapping_add(1) <= 2)
+        } else {
+            self.regions.iter().position(|&r| r == region)
         };
+        let Some(slot) = slot else {
+            // Replace the first unused tracker, else the least recently
+            // used: unused trackers hold the least stamp, 0.
+            let stamps = &self.stamps;
+            let i = (1..stamps.len()).fold(0, |i, j| if stamps[j] < stamps[i] { j } else { i });
+            self.regions[i] = region;
+            self.stamps[i] = self.clock;
+            self.trackers[i] = Tracker {
+                last_line: line,
+                stride: 0,
+                confidence: 0,
+                frontier: line as i64,
+            };
+            return;
+        };
+        self.regions[slot] = region;
+        self.stamps[slot] = self.clock;
         let t = &mut self.trackers[slot];
-        t.lru = self.clock;
-        t.region = region;
         let delta = line as i64 - t.last_line as i64;
         if delta == 0 {
             return; // same line, nothing to learn

@@ -105,15 +105,15 @@ impl StoreBuffer {
     /// Records that a store whose drain issued a device RFO completes at
     /// `completion`: its SB entry and its RFO slot free together.
     pub fn complete(&mut self, completion: f64) {
-        self.entries.push(Reverse(Time(completion)));
-        self.rfo_slots.push(Reverse(Time(completion)));
+        self.entries.push(Reverse(Time::new(completion)));
+        self.rfo_slots.push(Reverse(Time::new(completion)));
     }
 
     /// Records that a store completes at `completion` without holding an
     /// RFO slot (cache-hit ownership, or coalesced onto another store's
     /// in-flight RFO). Only the SB entry is occupied until then.
     pub fn complete_fast(&mut self, completion: f64) {
-        self.entries.push(Reverse(Time(completion)));
+        self.entries.push(Reverse(Time::new(completion)));
     }
 
     /// Number of stores admitted.

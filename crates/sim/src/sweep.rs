@@ -100,12 +100,12 @@ impl MlpSweep {
             // undercount). The suffix, if any, joins the heap normally.
             self.occupancy_integral += fill.min(self.cursor) - send;
             if fill > self.cursor {
-                self.active.push(Reverse(Time(fill)));
+                self.active.push(Reverse(Time::new(fill)));
             }
             return;
         }
         self.advance(send);
-        self.active.push(Reverse(Time(fill)));
+        self.active.push(Reverse(Time::new(fill)));
     }
 
     /// Finishes the sweep, integrating through the last fill, and returns

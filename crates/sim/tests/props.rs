@@ -7,6 +7,7 @@ use camp_sim::engine::Machine;
 use camp_sim::inflight::{InflightBuffer, InflightEntry, WaitClass};
 use camp_sim::op::{Op, Workload};
 use camp_sim::placement::{Placement, PlacementState, TierId};
+use camp_sim::prefetch::StreamPrefetcher;
 use camp_sim::sweep::MlpSweep;
 use camp_sim::{DeviceKind, OpTrace, Platform, Traced, LINE_BYTES};
 use std::sync::Arc;
@@ -177,14 +178,30 @@ impl NaiveCache {
 }
 
 /// `Cache` agrees with the naive model op for op, on random geometries
-/// (including non-power-of-two set counts) and on addresses with random
-/// low bits, which must name the same line as the aligned address.
+/// and on addresses with random low bits, which must name the same line
+/// as the aligned address. Geometries span 1–64 sets and 1–16 ways, so
+/// both set-index paths (mask for power-of-two set counts, `%` otherwise)
+/// and padded set strides (3, 5, 11 and 15 ways pad to 4, 8, 16 and 16
+/// slots) meet the model, `invalidate` holes included.
 #[test]
 fn cache_matches_a_naive_model_of_its_replacement_rule() {
-    for seed in 0..48u64 {
+    let pinned = [
+        (64, 3),
+        (32, 5),
+        (16, 11),
+        (8, 15),
+        (64, 16),
+        (48, 11),
+        (1, 15),
+        (7, 5),
+        (2, 1),
+    ];
+    for seed in 0..96u64 {
         let mut rng = Rng(seed ^ 0xcace);
-        let ways = 1 + rng.below(16) as usize;
-        let sets = 1 + rng.below(12) as usize;
+        let (sets, ways) = match pinned.get(seed as usize) {
+            Some(&geometry) => geometry,
+            None => (1 + rng.below(64) as usize, 1 + rng.below(16) as usize),
+        };
         let mut cache = Cache::new(CacheGeometry {
             capacity_bytes: (sets * ways) as u64 * LINE_BYTES,
             ways: ways as u32,
@@ -193,7 +210,7 @@ fn cache_matches_a_naive_model_of_its_replacement_rule() {
         let mut model = NaiveCache::new(sets, ways);
         // Enough distinct lines to overflow every set a few times over.
         let lines = (sets * ways * 3) as u64;
-        for step in 0..600 {
+        for step in 0..(sets * ways * 4).max(600) {
             let addr = rng.below(lines) * LINE_BYTES + rng.below(LINE_BYTES);
             let what = rng.below(6);
             let context = format!("seed {seed} step {step} op {what} addr {addr:#x}");
@@ -311,6 +328,201 @@ fn inflight_buffer_matches_a_naive_model() {
             assert_eq!(buffer.peak_occupancy(), peak, "{context}");
         }
     }
+}
+
+/// The stream prefetcher as it stood before its trackers' regions and
+/// LRU stamps moved into flat arrays, kept verbatim as the reference for
+/// `StreamPrefetcher`: the tracker search, LRU replacement and issue
+/// logic are the originals.
+mod reference_prefetcher {
+    /// Lines per 4 KiB tracking region.
+    const REGION_LINES: u64 = 64;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Tracker {
+        /// Region id (line number / 64); `u64::MAX` marks an unused tracker.
+        region: u64,
+        /// Last line number observed for this stream.
+        last_line: u64,
+        /// Detected stride in lines (may be negative).
+        stride: i64,
+        /// Consecutive confirmations of the stride.
+        confidence: u8,
+        /// Next line number to prefetch (frontier of the stream).
+        frontier: i64,
+        /// LRU stamp for tracker replacement.
+        lru: u64,
+    }
+
+    const UNUSED: u64 = u64::MAX;
+
+    pub struct ReferencePrefetcher {
+        trackers: Vec<Tracker>,
+        distance: i64,
+        degree: usize,
+        cross_page: bool,
+        clock: u64,
+        issued: u64,
+    }
+
+    impl ReferencePrefetcher {
+        pub fn new(trackers: usize, distance: u32, degree: u32, cross_page: bool) -> Self {
+            assert!(trackers > 0 && distance > 0 && degree > 0);
+            ReferencePrefetcher {
+                trackers: vec![
+                    Tracker {
+                        region: UNUSED,
+                        last_line: 0,
+                        stride: 0,
+                        confidence: 0,
+                        frontier: 0,
+                        lru: 0,
+                    };
+                    trackers
+                ],
+                distance: distance as i64,
+                degree: degree as usize,
+                cross_page,
+                clock: 0,
+                issued: 0,
+            }
+        }
+
+        pub fn issued(&self) -> u64 {
+            self.issued
+        }
+
+        pub fn on_access(&mut self, line: u64, out: &mut Vec<u64>) {
+            out.clear();
+            self.clock += 1;
+            let region = line / REGION_LINES;
+            // Find the tracker for this region or an adjacent one the stream
+            // may have crossed into.
+            let slot = self.trackers.iter().position(|t| {
+                t.region != UNUSED
+                    && (t.region == region || (self.cross_page && t.region.abs_diff(region) == 1))
+            });
+            let slot = match slot {
+                Some(i) => i,
+                None => {
+                    // Replace the LRU tracker.
+                    let i = (0..self.trackers.len())
+                        .min_by_key(|&i| {
+                            if self.trackers[i].region == UNUSED {
+                                0
+                            } else {
+                                self.trackers[i].lru + 1
+                            }
+                        })
+                        .expect("trackers non-empty");
+                    self.trackers[i] = Tracker {
+                        region,
+                        last_line: line,
+                        stride: 0,
+                        confidence: 0,
+                        frontier: line as i64,
+                        lru: self.clock,
+                    };
+                    return;
+                }
+            };
+            let t = &mut self.trackers[slot];
+            t.lru = self.clock;
+            t.region = region;
+            let delta = line as i64 - t.last_line as i64;
+            if delta == 0 {
+                return; // same line, nothing to learn
+            }
+            if delta == t.stride && t.stride != 0 {
+                t.confidence = t.confidence.saturating_add(1);
+            } else {
+                t.stride = delta;
+                t.confidence = 1;
+                t.frontier = line as i64;
+            }
+            t.last_line = line;
+            if t.confidence < 2 {
+                return;
+            }
+            // Issue up to `degree` prefetches from the frontier, staying within
+            // `distance` lines of the trigger.
+            let stride = t.stride;
+            let limit = line as i64 + self.distance * stride.signum();
+            let start = if stride > 0 {
+                t.frontier.max(line as i64)
+            } else {
+                t.frontier.min(line as i64)
+            };
+            let mut next = start + stride;
+            for _ in 0..self.degree {
+                let past_limit = if stride > 0 { next > limit } else { next < limit };
+                if past_limit || next < 0 {
+                    break;
+                }
+                if !self.cross_page && (next as u64) / REGION_LINES != region {
+                    break;
+                }
+                out.push(next as u64);
+                next += stride;
+            }
+            if let Some(&last) = out.last() {
+                t.frontier = last as i64;
+            }
+            self.issued += out.len() as u64;
+        }
+    }
+}
+
+/// `StreamPrefetcher` produces the reference's candidate list on every
+/// access, and the same `issued()`, over streams that interleave strided
+/// runs (both directions, some crossing 4 KiB pages, some at line 0),
+/// random jumps and repeats, for 1–16 trackers with and without
+/// `cross_page`.
+#[test]
+fn stream_prefetcher_matches_the_reference_tracker_search() {
+    use reference_prefetcher::ReferencePrefetcher;
+    let mut issuing_runs = 0;
+    for seed in 0..160u64 {
+        let mut rng = Rng(seed ^ 0x9f37);
+        let trackers = 1 + rng.below(16) as usize;
+        let distance = [1, 2, 4, 8, 16, 32][rng.below(6) as usize];
+        let degree = [1, 2, 3, 4, 8][rng.below(5) as usize];
+        let cross_page = seed % 2 == 0;
+        let mut fast = StreamPrefetcher::new(trackers, distance, degree, cross_page);
+        let mut reference = ReferencePrefetcher::new(trackers, distance, degree, cross_page);
+        // Up to 24 concurrent streams, so that trackers get replaced; each
+        // starts near a page boundary, at line 0 or far out.
+        let streams = 1 + rng.below(24) as usize;
+        let mut cursors: Vec<(u64, i64)> = (0..streams)
+            .map(|_| {
+                let start = match rng.below(3) {
+                    0 => rng.below(4),
+                    1 => (1 + rng.below(1 << 20)) * 64 - rng.below(4),
+                    _ => rng.below(1 << 40),
+                };
+                (start, rng.below(9) as i64 - 4)
+            })
+            .collect();
+        let (mut fast_out, mut reference_out) = (Vec::new(), Vec::new());
+        for step in 0..2_000 {
+            let line = match rng.below(8) {
+                0 => rng.below(1 << 24),
+                1 => rng.below(256),
+                _ => {
+                    let (line, stride) = &mut cursors[rng.below(streams as u64) as usize];
+                    let at = *line;
+                    *line = line.saturating_add_signed(*stride);
+                    at
+                }
+            };
+            fast.on_access(line, &mut fast_out);
+            reference.on_access(line, &mut reference_out);
+            assert_eq!(fast_out, reference_out, "seed {seed} step {step} line {line}");
+            assert_eq!(fast.issued(), reference.issued(), "seed {seed} step {step}");
+        }
+        issuing_runs += (fast.issued() > 0) as u32;
+    }
+    assert!(issuing_runs > 120, "only {issuing_runs} of 160 runs issued prefetches");
 }
 
 /// Weighted interleaving hits the requested ratio in expectation for any

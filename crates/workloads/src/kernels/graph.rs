@@ -9,7 +9,7 @@
 //! skew produces the pronounced phase behaviour the paper's time-series
 //! experiment (Figure 8, `tc-kron`) relies on.
 
-use crate::rng::SplitMix;
+use crate::rng::{unit_cut, SplitMix};
 use camp_sim::{Op, Workload};
 
 /// Synthetic graph topology.
@@ -157,19 +157,17 @@ impl GraphKernel {
                 } else {
                     (0.70, 0.15, 0.10)
                 };
+                // Quadrant per bit: `unit() < a` picks (0, 0), `< a + b`
+                // (0, 1), `< a + b + c` (1, 0), else (1, 1). The same
+                // comparisons on the 53-bit draw against integer cuts give
+                // the same answers (see `unit_cut`), without branches.
+                let (t1, t2, t3) = (unit_cut(a), unit_cut(a + b), unit_cut(a + b + c));
                 for _ in 0..e {
                     let (mut u, mut vtx) = (0u32, 0u32);
                     for bit in (0..scale).rev() {
-                        let r = rng.unit();
-                        let (du, dv) = if r < a {
-                            (0, 0)
-                        } else if r < a + b {
-                            (0, 1)
-                        } else if r < a + b + c {
-                            (1, 0)
-                        } else {
-                            (1, 1)
-                        };
+                        let k = rng.unit_bits();
+                        let du = (k >= t2) as u32;
+                        let dv = (((t1 <= k) & (k < t2)) | (k >= t3)) as u32;
                         u |= du << bit;
                         vtx |= dv << bit;
                     }

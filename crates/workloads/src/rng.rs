@@ -45,9 +45,18 @@ impl SplitMix {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform float in `[0, 1)`: [`unit_bits`](Self::unit_bits) scaled
+    /// by `2^-53`, which is exact.
     pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        self.unit_bits() as f64 / UNIT_SCALE
+    }
+
+    /// The 53-bit integer behind [`unit`](Self::unit), uniform in
+    /// `[0, 2^53)`. Comparing it with [`unit_cut`]`(p)` gives the same
+    /// answer as `unit() < p`, without the conversion.
+    #[inline]
+    pub fn unit_bits(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// A Zipf-like (s ≈ 1) rank in `[0, n)`: density falls off as `1/(k+1)`,
@@ -59,6 +68,18 @@ impl SplitMix {
         let k = (n as f64).powf(u) - 1.0;
         (k as u64).min(n - 1)
     }
+}
+
+/// `2^53`: the number of distinct [`SplitMix::unit`] values.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer cut for probability `p ∈ [0, 1]`: `k < unit_cut(p)` exactly
+/// when `k as f64 / 2^53 < p`, for every 53-bit `k`. Both `k / 2^53` and
+/// `p · 2^53` are exact in `f64`, and an integer is below a real `x`
+/// exactly when it is below `ceil(x)`.
+pub fn unit_cut(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+    (p * UNIT_SCALE).ceil() as u64
 }
 
 /// A full-period power-of-two LCG used to model pointer-chase permutations
