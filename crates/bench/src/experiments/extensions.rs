@@ -138,7 +138,8 @@ pub fn hybrid(ctx: &Context) -> Vec<Table> {
     );
     let workload = SkewedStream { name: "ext.dlrm-like".into() };
     // One shared trace feeds every policy's profiling and placement runs,
-    // and one DRAM-only run normalises them all.
+    // and one DRAM-only run normalises them all and is the run Hybrid and
+    // Best-shot decide from.
     let traced = ctx.traces().wrap(&workload);
     let baseline = ctx.run(PLATFORM, None, &traced);
     for capacity in [0.4, 0.6, 0.8] {
@@ -147,8 +148,8 @@ pub fn hybrid(ctx: &Context) -> Vec<Table> {
         let evaluate = |policy: &dyn TieringPolicy| {
             evaluate_policy(&policy_ctx, policy, &traced, &baseline).normalized_performance
         };
-        let hybrid = evaluate(&HybridCamp::new());
-        let best_shot = evaluate(&BestShotPolicy::new());
+        let hybrid = evaluate(&HybridCamp);
+        let best_shot = evaluate(&BestShotPolicy);
         let first_touch = evaluate(&FirstTouch);
         let nbt = evaluate(&Nbt);
         let soar = evaluate(&Soar);

@@ -8,7 +8,7 @@
 //! first-touch-style sharing across tier ratios.
 
 use crate::harness::{fmt, Context, Table};
-use camp_core::colocation::{place_and_run, run_colocated, ColocationPolicy};
+use camp_core::colocation::{place_and_run, run_colocated, solo_runs, ColocationPolicy};
 use camp_core::interleave::best_shot;
 use camp_pmu::derived;
 use camp_sim::{Placement, Workload};
@@ -61,38 +61,31 @@ pub fn run(ctx: &Context) -> Vec<Table> {
     );
     for (a_name, b_name) in pairs() {
         let a = camp_workloads::find(a_name).expect("pair workload in suite");
+        let a = ctx.traces().wrap(a.as_ref());
         let b = camp_workloads::find(b_name).expect("pair workload in suite");
-        // Profiling runs under the colocation's LLC allocation.
-        let dram_machine =
-            camp_sim::Machine::dram_only(PLATFORM).with_llc_sharers(a.threads() + b.threads());
-        let dram_a = std::rc::Rc::new(dram_machine.run(&a));
-        let dram_b = std::rc::Rc::new(dram_machine.run(&b));
-        // (a): put the CAMP-tolerant workload on the slow tier, measure.
-        let (tolerant, sensitive, solo_tolerant) = if predictor.predict_total_saturated(&dram_a)
-            <= predictor.predict_total_saturated(&dram_b)
-        {
-            (&a, &b, &dram_a)
-        } else {
-            (&b, &a, &dram_b)
+        let b = ctx.traces().wrap(b.as_ref());
+        // Both policies decide from, and measure against, one pair of solo
+        // runs under the colocation's LLC allocation.
+        let (solo_a, solo_b) = solo_runs(PLATFORM, &a, &b);
+        let decide = |policy| {
+            place_and_run(PLATFORM, DEVICE, (&a, &solo_a), (&b, &solo_b), policy, &predictor)
         };
-        let (_, slow_report) =
-            run_colocated(PLATFORM, DEVICE, sensitive.as_ref(), tolerant.as_ref());
-        let mpki_t = derived::mpki(&solo_tolerant.counters).unwrap_or(0.0);
-        let mpki_other = derived::mpki(
-            &ctx.run(PLATFORM, None, if std::ptr::eq(tolerant, &a) { &b } else { &a })
-                .counters,
-        )
-        .unwrap_or(0.0);
+        let camp = decide(ColocationPolicy::Camp);
+        let mpki = decide(ColocationPolicy::Mpki);
+        // (a): CAMP put the workload it predicts more tolerant on the slow
+        // tier; its measured slowdown there is the prediction's check.
+        let (solo_slow, other) =
+            if camp.slow_workload == a.name() { (&solo_a, &b) } else { (&solo_b, &a) };
+        let mpki_slow = derived::mpki(&solo_slow.counters).unwrap_or(0.0);
+        let mpki_other = derived::mpki(&ctx.run(PLATFORM, None, other).counters).unwrap_or(0.0);
         accuracy.row(&[
             format!("{a_name}+{b_name}"),
-            tolerant.name().to_string(),
-            if mpki_t > mpki_other { "hotter".into() } else { "colder".into() },
-            fmt(predictor.predict_total_saturated(solo_tolerant), 3),
-            fmt(slow_report.slowdown_vs(solo_tolerant), 3),
+            camp.slow_workload.clone(),
+            if mpki_slow > mpki_other { "hotter".into() } else { "colder".into() },
+            fmt(predictor.predict_total_saturated(solo_slow), 3),
+            fmt(camp.slow_slowdown, 3),
         ]);
-        // (b): decide with each policy, evaluate.
-        let camp = place_and_run(PLATFORM, DEVICE, &a, &b, ColocationPolicy::Camp, &predictor);
-        let mpki = place_and_run(PLATFORM, DEVICE, &a, &b, ColocationPolicy::Mpki, &predictor);
+        // (b): what each policy's decision costs the pair.
         placement.row(&[
             format!("{a_name}+{b_name}"),
             fmt(camp.mean_slowdown(), 3),
@@ -120,7 +113,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         ("Colloid-like (0.6 fast)", 0.6),
     ];
     for (policy, ratio) in candidates {
-        let (roms_report, xz_report) = camp_core::colocation::run_colocated_with_placements(
+        let (roms_report, xz_report) = run_colocated(
             PLATFORM,
             DEVICE,
             (&roms, Placement::interleave_ratio(ratio)),

@@ -3,7 +3,7 @@
 //! on conflicting pairs.
 
 use crate::{ctx, traced};
-use camp_core::colocation::{place_and_run, ColocationPolicy};
+use camp_core::colocation::{place_and_run, solo_runs, ColocationPolicy};
 use camp_policies::{
     baseline_policies, evaluate_policy, BestShotPolicy, PolicyContext, TieringPolicy,
 };
@@ -18,8 +18,7 @@ fn best_shot_tops_the_policy_comparison_on_bwaves() {
     let policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
     let workload = traced("spec.603.bwaves-8t");
     let baseline = ctx().run(PLATFORM, None, &workload);
-    let best_shot = BestShotPolicy::new();
-    let bs = evaluate_policy(&policy_ctx, &best_shot, &workload, &baseline);
+    let bs = evaluate_policy(&policy_ctx, &BestShotPolicy, &workload, &baseline);
     assert!(
         bs.normalized_performance > 1.0,
         "Best-shot should beat DRAM-only on a bandwidth-bound stream: {bs:?}"
@@ -29,7 +28,7 @@ fn best_shot_tops_the_policy_comparison_on_bwaves() {
         assert!(
             bs.normalized_performance >= result.normalized_performance - 0.02,
             "{} ({:.3}) beat Best-shot ({:.3}) beyond tolerance",
-            result.policy,
+            policy.name(),
             result.normalized_performance,
             bs.normalized_performance
         );
@@ -42,7 +41,7 @@ fn best_shot_clearly_beats_static_policies_on_llama() {
     let policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
     let workload = traced("ai.llama-7b-prefill");
     let baseline = ctx().run(PLATFORM, None, &workload);
-    let bs = evaluate_policy(&policy_ctx, &BestShotPolicy::new(), &workload, &baseline);
+    let bs = evaluate_policy(&policy_ctx, &BestShotPolicy, &workload, &baseline);
     for policy in [
         Box::new(camp_policies::FirstTouch) as Box<dyn TieringPolicy>,
         Box::new(camp_policies::Soar),
@@ -52,7 +51,7 @@ fn best_shot_clearly_beats_static_policies_on_llama() {
         assert!(
             gain > 0.05,
             "expected >5% gain over {}, got {:.1}%",
-            result.policy,
+            policy.name(),
             gain * 100.0
         );
     }
@@ -75,10 +74,19 @@ fn camp_colocation_beats_mpki_on_a_conflicting_pair() {
         "pair no longer conflicts on MPKI: {mpki_tolerant} vs {mpki_sensitive}"
     );
 
-    let camp_outcome =
-        place_and_run(platform, DEVICE, &tolerant, &sensitive, ColocationPolicy::Camp, &predictor);
-    let mpki_outcome =
-        place_and_run(platform, DEVICE, &tolerant, &sensitive, ColocationPolicy::Mpki, &predictor);
+    let (solo_tolerant, solo_sensitive) = solo_runs(platform, &tolerant, &sensitive);
+    let decide = |policy| {
+        place_and_run(
+            platform,
+            DEVICE,
+            (&tolerant, &solo_tolerant),
+            (&sensitive, &solo_sensitive),
+            policy,
+            &predictor,
+        )
+    };
+    let camp_outcome = decide(ColocationPolicy::Camp);
+    let mpki_outcome = decide(ColocationPolicy::Mpki);
     // MPKI protects the hot-but-tolerant workload and exiles the
     // sensitive one; CAMP does the opposite and wins clearly.
     assert_eq!(camp_outcome.slow_workload, tolerant.name);
@@ -96,20 +104,13 @@ fn every_policy_produces_a_runnable_placement() {
     let policy_ctx = PolicyContext::new(PLATFORM, DEVICE).with_predictor(&predictor);
     let workload = traced("spec.505.mcf-1t");
     let baseline = ctx().run(PLATFORM, None, &workload);
-    let best_shot = BestShotPolicy::new();
-    let mut results = vec![evaluate_policy(
-        &policy_ctx,
-        &best_shot,
-        &workload,
-        &baseline,
-    )];
-    for policy in baseline_policies() {
-        results.push(evaluate_policy(&policy_ctx, policy.as_ref(), &workload, &baseline));
-    }
-    for result in results {
+    let best_shot: Box<dyn TieringPolicy> = Box::new(BestShotPolicy);
+    for policy in std::iter::once(best_shot).chain(baseline_policies()) {
+        let result = evaluate_policy(&policy_ctx, policy.as_ref(), &workload, &baseline);
         assert!(
             result.normalized_performance > 0.3 && result.normalized_performance <= 1.05,
-            "implausible outcome: {result:?}"
+            "implausible outcome for {}: {result:?}",
+            policy.name()
         );
     }
 }

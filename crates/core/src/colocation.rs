@@ -10,7 +10,9 @@
 //! Colocation is evaluated with the substrate's interference model: the
 //! pair shares LLC capacity, and each workload sees the partner's traffic
 //! as background utilisation on any tier they both touch (fixed-point
-//! iterated).
+//! iterated). Both policies decide from, and measure against, the same
+//! pair of [`solo_runs`], which callers compute once and hand to
+//! [`place_and_run`].
 
 use crate::model::CampPredictor;
 use camp_pmu::derived;
@@ -82,28 +84,20 @@ fn fair_share_background(own: f64, partner: f64) -> f64 {
     background.clamp(0.0, 0.9)
 }
 
-/// Runs two workloads colocated: `fast` entirely on DRAM, `slow` entirely
-/// on the slow tier, sharing the LLC and interfering on any common tier.
-/// Returns their reports `(fast_report, slow_report)` after fixed-point
-/// iterating the mutual background load.
-pub fn run_colocated(
-    platform: Platform,
-    device: DeviceKind,
-    fast: &dyn Workload,
-    slow: &dyn Workload,
-) -> (RunReport, RunReport) {
-    run_colocated_with_placements(
-        platform,
-        device,
-        (fast, Placement::FastOnly),
-        (slow, Placement::SlowOnly),
-    )
+/// Solo DRAM-only runs of `a` and `b` under the colocation's LLC
+/// allocation: the partner's threads occupy the shared cache whichever
+/// tier they run from. These are the profiling runs colocation decides
+/// from and the baselines its slowdowns are measured against.
+pub fn solo_runs(platform: Platform, a: &dyn Workload, b: &dyn Workload) -> (RunReport, RunReport) {
+    let dram = Machine::dram_only(platform).with_llc_sharers(a.threads() + b.threads());
+    (dram.run(a), dram.run(b))
 }
 
-/// Generalised colocated run with explicit placements per workload (used
-/// by the mixed bandwidth/latency scenario of Figure 16c, where one
-/// workload interleaves and the other gets the remaining fast memory).
-pub fn run_colocated_with_placements(
+/// Runs two workloads colocated, each under its own placement, sharing
+/// the LLC and interfering on any common tier. Returns their reports
+/// `(a_report, b_report)` after fixed-point iterating the mutual
+/// background load.
+pub fn run_colocated(
     platform: Platform,
     device: DeviceKind,
     a: (&dyn Workload, Placement),
@@ -140,35 +134,32 @@ pub fn run_colocated_with_placements(
 }
 
 /// Decides and evaluates a colocation: picks who gets DRAM per `policy`,
-/// runs the pair colocated, and reports each workload's slowdown relative
-/// to its solo DRAM run.
+/// runs the pair colocated (the protected workload entirely on DRAM, the
+/// other entirely on the slow tier), and reports each workload's slowdown
+/// relative to its solo run. Each side is a workload with its
+/// [`solo_runs`] report.
 pub fn place_and_run(
     platform: Platform,
     device: DeviceKind,
-    a: &dyn Workload,
-    b: &dyn Workload,
+    a: (&dyn Workload, &RunReport),
+    b: (&dyn Workload, &RunReport),
     policy: ColocationPolicy,
     predictor: &CampPredictor,
 ) -> ColocationOutcome {
-    // Profiling runs see the colocation's LLC allocation: the partner's
-    // threads occupy the shared cache whichever tier they run from.
-    let dram = Machine::dram_only(platform).with_llc_sharers(a.threads() + b.threads());
-    let solo_a = dram.run(a);
-    let solo_b = dram.run(b);
     let a_first = match policy {
         ColocationPolicy::Camp => {
             // Protect the workload predicted to suffer more on the slow
             // tier.
-            predictor.predict_total_saturated(&solo_a) >= predictor.predict_total_saturated(&solo_b)
+            predictor.predict_total_saturated(a.1) >= predictor.predict_total_saturated(b.1)
         }
         ColocationPolicy::Mpki => {
-            derived::mpki(&solo_a.counters).unwrap_or(0.0)
-                >= derived::mpki(&solo_b.counters).unwrap_or(0.0)
+            derived::mpki(&a.1.counters).unwrap_or(0.0)
+                >= derived::mpki(&b.1.counters).unwrap_or(0.0)
         }
     };
-    let (fast, slow, solo_fast, solo_slow) =
-        if a_first { (a, b, &solo_a, &solo_b) } else { (b, a, &solo_b, &solo_a) };
-    let (fast_report, slow_report) = run_colocated(platform, device, fast, slow);
+    let ((fast, solo_fast), (slow, solo_slow)) = if a_first { (a, b) } else { (b, a) };
+    let (fast_report, slow_report) =
+        run_colocated(platform, device, (fast, Placement::FastOnly), (slow, Placement::SlowOnly));
     ColocationOutcome {
         fast_workload: fast.name().to_string(),
         slow_workload: slow.name().to_string(),
@@ -181,7 +172,47 @@ pub fn place_and_run(
 mod tests {
     use super::*;
     use crate::calibration::Calibration;
+    use camp_sim::{Op, OpTrace};
     use camp_workloads::kernels::{Gather, PointerChase};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Counts simulations: each engine run resolves the workload's trace
+    /// once.
+    struct Counted<W> {
+        inner: W,
+        runs: AtomicUsize,
+    }
+
+    impl<W: Workload> Workload for Counted<W> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn threads(&self) -> u32 {
+            self.inner.threads()
+        }
+        fn footprint_bytes(&self) -> u64 {
+            self.inner.footprint_bytes()
+        }
+        fn ops(&self) -> Box<dyn Iterator<Item = Op> + '_> {
+            self.inner.ops()
+        }
+        fn trace(&self) -> Arc<OpTrace> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.trace()
+        }
+    }
+
+    impl<W> Counted<W> {
+        fn new(inner: W) -> Self {
+            Counted { inner, runs: AtomicUsize::new(0) }
+        }
+
+        /// Simulations since the last call.
+        fn take(&self) -> usize {
+            self.runs.swap(0, Ordering::Relaxed)
+        }
+    }
 
     fn chaser() -> PointerChase {
         // Latency-sensitive: serialised chase.
@@ -205,7 +236,12 @@ mod tests {
     fn colocated_pair_shares_the_llc() {
         let a = chaser();
         let b = tolerant();
-        let (fast, slow) = run_colocated(Platform::Spr2s, DeviceKind::CxlA, &a, &b);
+        let (fast, slow) = run_colocated(
+            Platform::Spr2s,
+            DeviceKind::CxlA,
+            (&a, Placement::FastOnly),
+            (&b, Placement::SlowOnly),
+        );
         assert_eq!(fast.workload, "coloc-chase");
         assert!(slow.slow_tier.is_some());
         // The slow-placed workload actually ran from the slow tier.
@@ -219,7 +255,12 @@ mod tests {
         let dram = Machine::dram_only(Platform::Spr2s);
         let solo_a = dram.run(&a);
         let solo_b = dram.run(&b);
-        let (fast, slow) = run_colocated(Platform::Spr2s, DeviceKind::CxlA, &a, &b);
+        let (fast, slow) = run_colocated(
+            Platform::Spr2s,
+            DeviceKind::CxlA,
+            (&a, Placement::FastOnly),
+            (&b, Placement::SlowOnly),
+        );
         let fast_slowdown = fast.slowdown_vs(&solo_a);
         let slow_slowdown = slow.slowdown_vs(&solo_b);
         assert!(slow_slowdown > fast_slowdown, "{slow_slowdown} vs {fast_slowdown}");
@@ -240,11 +281,22 @@ mod tests {
     fn policies_can_disagree() {
         // The chaser has *lower* MPKI than the gather but suffers more on
         // CXL: MPKI protects the gather, CAMP protects the chaser.
-        let a = chaser();
-        let b = tolerant();
+        let a = Counted::new(chaser());
+        let b = Counted::new(tolerant());
         let p = predictor();
-        let camp =
-            place_and_run(Platform::Spr2s, DeviceKind::CxlA, &a, &b, ColocationPolicy::Camp, &p);
+        let (solo_a, solo_b) = solo_runs(Platform::Spr2s, &a, &b);
+        assert_eq!((a.take(), b.take()), (1, 1), "solo_runs: one DRAM run each");
+        let camp = place_and_run(
+            Platform::Spr2s,
+            DeviceKind::CxlA,
+            (&a, &solo_a),
+            (&b, &solo_b),
+            ColocationPolicy::Camp,
+            &p,
+        );
+        // Three fixed-point rounds of two colocated runs; the decision
+        // itself simulates nothing.
+        assert_eq!((a.take(), b.take()), (3, 3), "place_and_run: six colocated runs");
         // CAMP protects one of them — just verify both outcomes are
         // well-formed and use each workload once.
         assert_ne!(camp.fast_workload, camp.slow_workload);

@@ -77,33 +77,6 @@ impl SlowdownPrediction {
     pub fn total(&self) -> f64 {
         self.drd + self.cache + self.store
     }
-
-    /// Serialises to a JSON object (the `camp-serve` wire form). The total
-    /// is included redundantly so protocol consumers need not re-derive
-    /// Eq. 1.
-    pub fn to_json(&self) -> camp_obs::Json {
-        camp_obs::Json::obj(vec![
-            ("s_drd", self.drd.into()),
-            ("s_cache", self.cache.into()),
-            ("s_store", self.store.into()),
-            ("total", self.total().into()),
-        ])
-    }
-
-    /// Deserialises from a JSON object (ignoring the redundant `total`).
-    pub fn from_json(json: &camp_obs::Json) -> Result<SlowdownPrediction, String> {
-        let field = |name: &str| -> Result<f64, String> {
-            json.get(name)
-                .ok_or_else(|| format!("prediction is missing field '{name}'"))?
-                .as_f64()
-                .ok_or_else(|| format!("prediction field '{name}' must be a number"))
-        };
-        Ok(SlowdownPrediction {
-            drd: field("s_drd")?,
-            cache: field("s_cache")?,
-            store: field("s_store")?,
-        })
-    }
 }
 
 /// The calibrated CAMP predictor.

@@ -49,12 +49,6 @@ pub fn ipc(c: &CounterSet) -> Option<f64> {
     ratio(c.get_f64(Event::Instructions), c.get_f64(Event::Cycles))
 }
 
-/// Fraction of cycles stalled on an L3-missing demand load: `P3 / c`
-/// (X-Mem-style stall signal).
-pub fn l3_stall_fraction(c: &CounterSet) -> Option<f64> {
-    ratio(c.get_f64(Event::StallsL3Miss), c.get_f64(Event::Cycles))
-}
-
 /// Fraction of cycles with at least one demand read in flight
 /// ("memory-active cycles" `C` normalised by `c`; §4.1.1).
 pub fn memory_active_fraction(c: &CounterSet) -> Option<f64> {
@@ -89,11 +83,6 @@ pub fn r_mem_spr(c: &CounterSet) -> Option<f64> {
     Some(share * miss)
 }
 
-/// Fraction of cycles stalled on a full store buffer: `P6 / c`.
-pub fn store_bound_fraction(c: &CounterSet) -> Option<f64> {
-    ratio(c.get_f64(Event::BoundOnStores), c.get_f64(Event::Cycles))
-}
-
 /// Demand-load L1 hit rate (used by Figure 5b).
 pub fn l1d_hit_rate(c: &CounterSet) -> Option<f64> {
     ratio(c.get_f64(Event::L1dHit), c.get_f64(Event::DemandLoads))
@@ -110,7 +99,6 @@ mod tests {
         c.set(Event::OroDemandRd, 40_000);
         c.set(Event::OrDemandRd, 200);
         c.set(Event::OroCycWDemandRd, 5_000);
-        c.set(Event::StallsL3Miss, 2_500);
         c.set(Event::LfbHit, 300);
         c.set(Event::L1Miss, 700);
         c.set(Event::PfL1dAnyResponse, 100);
@@ -119,7 +107,6 @@ mod tests {
         c.set(Event::LlcLookupAll, 200);
         c.set(Event::TorInsIaPref, 30);
         c.set(Event::TorInsIaHitPref, 10);
-        c.set(Event::BoundOnStores, 1_000);
         c.set(Event::DemandLoads, 10_000);
         c.set(Event::L1dHit, 9_000);
         c
@@ -181,8 +168,6 @@ mod tests {
     #[test]
     fn stall_fractions() {
         let c = sample();
-        assert_eq!(l3_stall_fraction(&c), Some(0.25));
-        assert_eq!(store_bound_fraction(&c), Some(0.1));
         assert_eq!(memory_active_fraction(&c), Some(0.5));
     }
 }

@@ -4,36 +4,13 @@
 
 use crate::policy::{PolicyContext, TieringPolicy};
 use camp_core::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
-use camp_sim::{Machine, Placement, Workload};
-use std::cell::Cell;
+use camp_sim::{Machine, Placement, RunReport, Workload};
 
-/// The Best-shot policy: synthesize the interleaving curve from 1–2
-/// profiling runs, jump straight to the predicted optimum.
-#[derive(Debug, Clone, Default)]
-pub struct BestShotPolicy {
-    runs_used: Cell<u8>,
-    last_ratio: Cell<f64>,
-    last_prediction: Cell<f64>,
-}
-
-impl BestShotPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The ratio chosen by the most recent [`place`](TieringPolicy::place)
-    /// call.
-    pub fn chosen_ratio(&self) -> f64 {
-        self.last_ratio.get()
-    }
-
-    /// The predicted slowdown at the chosen ratio (negative = predicted
-    /// speedup over DRAM-only).
-    pub fn predicted_slowdown(&self) -> f64 {
-        self.last_prediction.get()
-    }
-}
+/// The Best-shot policy: synthesize the interleaving curve from the
+/// caller's DRAM run (plus one slow-tier run when the workload is
+/// bandwidth-bound), jump straight to the predicted optimum.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BestShotPolicy;
 
 impl TieringPolicy for BestShotPolicy {
     fn name(&self) -> &'static str {
@@ -45,28 +22,25 @@ impl TieringPolicy for BestShotPolicy {
     /// Panics if the context has no calibrated predictor, or with the
     /// [`camp_core::ModelError`] diagnostic if the profiling runs cannot
     /// be modelled.
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        dram: &RunReport,
+    ) -> Placement {
         let predictor =
             ctx.predictor.expect("Best-shot requires a calibrated predictor in the context");
-        let dram = Machine::dram_only(ctx.platform).run(workload);
         let slow = || Machine::slow_only(ctx.platform, ctx.device).run(workload);
-        let model = InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU)
+        let model = InterleaveModel::profile(dram, slow, predictor, DEFAULT_TAU)
             .unwrap_or_else(|error| panic!("{error}"));
-        self.runs_used.set(model.profiling_runs);
-        let choice = best_shot(&model);
-        self.last_ratio.set(choice.ratio);
-        self.last_prediction.set(choice.predicted_slowdown);
-        Placement::interleave_ratio(choice.ratio)
-    }
-
-    fn profiling_runs(&self) -> u8 {
-        self.runs_used.get()
+        Placement::interleave_ratio(best_shot(&model).ratio)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::Counted;
     use camp_core::{Calibration, CampPredictor};
     use camp_sim::{DeviceKind, Platform};
     use camp_workloads::kernels::PointerChase;
@@ -83,24 +57,24 @@ mod tests {
     fn latency_bound_workload_stays_on_dram_with_one_run() {
         let p = predictor();
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA).with_predictor(&p);
-        let chase = PointerChase::new("bs-chase", 1, 1 << 21, 1, 30_000);
-        let policy = BestShotPolicy::new();
-        let placement = policy.place(&ctx, &chase);
+        let chase = Counted::new(PointerChase::new("bs-chase", 1, 1 << 21, 1, 30_000));
+        let dram = Machine::dram_only(ctx.platform).run(&chase.inner);
+        let placement = BestShotPolicy.place(&ctx, &chase, &dram);
         assert_eq!(placement.fast_fraction(), Some(1.0));
-        assert_eq!(policy.profiling_runs(), 1, "latency-bound needs one run");
+        assert_eq!(chase.traces(), 0, "latency-bound decides from the caller's DRAM run alone");
     }
 
     #[test]
     fn bandwidth_bound_workload_interleaves_with_two_runs() {
         let p = predictor();
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA).with_predictor(&p);
-        let stream = camp_workloads::find("mlc.stream-8t-c0").expect("in suite");
-        let policy = BestShotPolicy::new();
-        let placement = policy.place(&ctx, &stream);
+        let stream = Counted::new(camp_workloads::find("mlc.stream-8t-c0").expect("in suite"));
+        let dram = Machine::dram_only(ctx.platform).run(&stream.inner);
+        let placement = BestShotPolicy.place(&ctx, &stream, &dram);
         let frac = placement.fast_fraction().expect("static ratio");
+        // Below 1.0 only if some ratio was predicted faster than DRAM-only.
         assert!(frac < 1.0, "saturating stream should interleave, got {frac}");
-        assert_eq!(policy.profiling_runs(), 2, "bandwidth-bound needs two runs");
-        assert!(policy.predicted_slowdown() < 0.0, "predicted a speedup");
+        assert_eq!(stream.traces(), 1, "bandwidth-bound adds one slow-tier run");
     }
 
     #[test]
@@ -108,6 +82,7 @@ mod tests {
     fn missing_predictor_is_a_usage_error() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
         let chase = PointerChase::new("bs-nopred", 1, 1 << 16, 1, 1_000);
-        let _ = BestShotPolicy::new().place(&ctx, &chase);
+        let dram = Machine::dram_only(ctx.platform).run(&chase);
+        let _ = BestShotPolicy.place(&ctx, &chase, &dram);
     }
 }

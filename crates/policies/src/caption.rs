@@ -6,89 +6,61 @@
 //! Best-shot lands on a percent-granular ratio analytically.
 
 use crate::policy::{PolicyContext, TieringPolicy};
-use camp_sim::{Machine, Placement, Workload};
-use std::cell::Cell;
+use camp_sim::{Machine, Placement, RunReport, Workload};
+
+/// The coarse candidate grid: DRAM-only plus three interleaving levels.
+const CANDIDATES: [f64; 4] = [1.0, 0.85, 0.7, 0.5];
 
 /// Caption's coarse search policy.
-#[derive(Debug, Clone)]
-pub struct Caption {
-    candidates: Vec<f64>,
-    probes_used: Cell<u8>,
-}
-
-impl Default for Caption {
-    /// The coarse candidate grid: DRAM-only plus three interleaving
-    /// levels.
-    fn default() -> Self {
-        Caption::new(vec![1.0, 0.85, 0.7, 0.5])
-    }
-}
-
-impl Caption {
-    /// Creates a Caption search over the given candidate DRAM fractions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty or contains out-of-range ratios.
-    pub fn new(candidates: Vec<f64>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate ratio");
-        assert!(candidates.iter().all(|x| (0.0..=1.0).contains(x)), "ratios must be in [0,1]");
-        Caption { candidates, probes_used: Cell::new(0) }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Caption;
 
 impl TieringPolicy for Caption {
     fn name(&self) -> &'static str {
         "Caption"
     }
 
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
-        let mut best = (self.candidates[0], f64::INFINITY);
-        let mut probes = 0u8;
-        for &x in &self.candidates {
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
+        let mut best = (CANDIDATES[0], f64::INFINITY);
+        for x in CANDIDATES {
             let report = Machine::interleaved(ctx.platform, ctx.device, x).run(workload);
-            probes += 1;
             if report.cycles < best.1 {
                 best = (x, report.cycles);
             }
         }
-        self.probes_used.set(probes);
         Placement::interleave_ratio(best.0)
-    }
-
-    fn profiling_runs(&self) -> u8 {
-        self.probes_used.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::Counted;
     use camp_sim::{DeviceKind, Platform};
     use camp_workloads::kernels::PointerChase;
 
     #[test]
     fn latency_bound_workload_keeps_dram_only() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
-        let chase = PointerChase::new("caption-chase", 1, 1 << 19, 1, 30_000);
-        let caption = Caption::default();
-        let placement = caption.place(&ctx, &chase);
+        let chase = Counted::new(PointerChase::new("caption-chase", 1, 1 << 19, 1, 30_000));
+        let dram = Machine::dram_only(ctx.platform).run(&chase.inner);
+        let placement = Caption.place(&ctx, &chase, &dram);
         assert_eq!(placement.fast_fraction(), Some(1.0));
-        assert_eq!(caption.profiling_runs(), 4, "every candidate costs a probe");
+        assert_eq!(chase.traces(), 4, "every candidate costs a probe");
     }
 
     #[test]
     fn bandwidth_bound_workload_interleaves() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
         let stream = camp_workloads::find("mlc.stream-8t-c0").expect("in suite");
-        let placement = Caption::default().place(&ctx, &stream);
+        let dram = Machine::dram_only(ctx.platform).run(&stream);
+        let placement = Caption.place(&ctx, &stream, &dram);
         let frac = placement.fast_fraction().expect("static ratio");
         assert!(frac < 1.0, "saturating stream should interleave, got {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn empty_candidates_rejected() {
-        let _ = Caption::new(vec![]);
     }
 }

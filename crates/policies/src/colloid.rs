@@ -13,24 +13,22 @@
 //! the paper's "Alto is slightly better than Colloid".
 
 use crate::policy::{PolicyContext, TieringPolicy};
-use camp_sim::{Machine, Placement, Workload};
-use std::cell::Cell;
+use camp_sim::{Machine, Placement, RunReport, Workload};
 
-/// Shared latency-equalisation loop. Returns the DRAM fraction it settles
-/// on and the number of probe runs consumed.
-fn equalise(
-    ctx: &PolicyContext<'_>,
-    workload: &dyn Workload,
-    iterations: u8,
-    damping: impl Fn(f64) -> f64,
-) -> (f64, u8) {
+/// Probe runs (migration rounds) the equalisation loop may take.
+const ITERATIONS: u8 = 6;
+
+/// MLP above which Alto damps migration.
+const ALTO_MLP_THRESHOLD: f64 = 4.0;
+
+/// Shared latency-equalisation loop: one probe run per round, at most
+/// [`ITERATIONS`] rounds. Returns the DRAM fraction it settles on.
+fn equalise(ctx: &PolicyContext<'_>, workload: &dyn Workload, damping: impl Fn(f64) -> f64) -> f64 {
     // Start from the provisioned first-touch-like split.
     let mut x = ctx.fast_capacity_fraction;
-    let mut probes = 0u8;
     let mut step = 0.25;
-    for _ in 0..iterations {
+    for _ in 0..ITERATIONS {
         let report = Machine::interleaved(ctx.platform, ctx.device, x).run(workload);
-        probes += 1;
         let fast_latency = report
             .fast_tier
             .avg_read_latency()
@@ -53,91 +51,73 @@ fn equalise(
         x = x.clamp(0.1, ctx.fast_capacity_fraction);
         step *= 0.6;
     }
-    (x, probes)
+    x
 }
 
 /// Colloid: migrate until per-tier loaded latencies equalise.
-#[derive(Debug, Clone)]
-pub struct Colloid {
-    iterations: u8,
-    probes_used: Cell<u8>,
-}
-
-impl Default for Colloid {
-    fn default() -> Self {
-        Colloid { iterations: 6, probes_used: Cell::new(0) }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Colloid;
 
 impl TieringPolicy for Colloid {
     fn name(&self) -> &'static str {
         "Colloid"
     }
 
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
-        let (x, probes) = equalise(ctx, workload, self.iterations, |_| 1.0);
-        self.probes_used.set(probes);
-        Placement::interleave_ratio(x)
-    }
-
-    fn profiling_runs(&self) -> u8 {
-        self.probes_used.get()
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
+        Placement::interleave_ratio(equalise(ctx, workload, |_| 1.0))
     }
 }
 
 /// Alto: Colloid with migration damped while MLP is high.
-#[derive(Debug, Clone)]
-pub struct Alto {
-    iterations: u8,
-    mlp_threshold: f64,
-    probes_used: Cell<u8>,
-}
-
-impl Default for Alto {
-    fn default() -> Self {
-        Alto {
-            iterations: 6,
-            mlp_threshold: 4.0,
-            probes_used: Cell::new(0),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Alto;
 
 impl TieringPolicy for Alto {
     fn name(&self) -> &'static str {
         "Alto"
     }
 
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
-        let threshold = self.mlp_threshold;
-        let (x, probes) =
-            equalise(ctx, workload, self.iterations, |mlp| if mlp > threshold { 0.3 } else { 1.0 });
-        self.probes_used.set(probes);
-        Placement::interleave_ratio(x)
-    }
-
-    fn profiling_runs(&self) -> u8 {
-        self.probes_used.get()
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
+        let damping = |mlp: f64| if mlp > ALTO_MLP_THRESHOLD { 0.3 } else { 1.0 };
+        Placement::interleave_ratio(equalise(ctx, workload, damping))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::Counted;
     use camp_sim::{DeviceKind, Platform};
     use camp_workloads::kernels::PointerChase;
+
+    /// Places `workload` with `policy`, given the caller's DRAM run.
+    fn place(ctx: &PolicyContext<'_>, policy: &dyn TieringPolicy, workload: &dyn Workload) -> f64 {
+        let dram = Machine::dram_only(ctx.platform).run(workload);
+        policy.place(ctx, workload, &dram).fast_fraction().expect("static ratio")
+    }
 
     #[test]
     fn latency_bound_workload_fills_dram_capacity() {
         // Uncontended DRAM is always faster than CXL, so equalisation
         // pushes everything DRAM-ward until capacity stops it.
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
-        let chase = PointerChase::new("colloid-chase", 1, 1 << 19, 2, 30_000);
-        let colloid = Colloid::default();
-        let placement = colloid.place(&ctx, &chase);
-        let frac = placement.fast_fraction().expect("static ratio");
+        let chase = Counted::new(PointerChase::new("colloid-chase", 1, 1 << 19, 2, 30_000));
+        let dram = Machine::dram_only(ctx.platform).run(&chase.inner);
+        let frac = Colloid.place(&ctx, &chase, &dram).fast_fraction().expect("static ratio");
         assert!((frac - 0.8).abs() < 0.05, "capacity-bound: {frac}");
-        assert!(colloid.profiling_runs() >= 1);
+        // x never leaves [0.1, 0.8], so the slow tier is always populated
+        // and every round probes.
+        assert_eq!(chase.traces(), 6, "one probe run per round");
     }
 
     #[test]
@@ -148,8 +128,7 @@ mod tests {
         // avoids.
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
         let stream = camp_workloads::find("mlc.stream-8t-c0").expect("in suite");
-        let placement = Colloid::default().place(&ctx, &stream);
-        let frac = placement.fast_fraction().expect("static ratio");
+        let frac = place(&ctx, &Colloid, &stream);
         assert!((frac - 0.8).abs() < 0.05, "expected capacity-pinned, got {frac}");
     }
 
@@ -160,8 +139,7 @@ mod tests {
         // sheds pages off DRAM.
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::Numa);
         let stream = camp_workloads::find("mlc.stream-8t-c0").expect("in suite");
-        let placement = Colloid::default().place(&ctx, &stream);
-        let frac = placement.fast_fraction().expect("static ratio");
+        let frac = place(&ctx, &Colloid, &stream);
         assert!(frac < 0.8, "congested DRAM should shed pages, got {frac}");
     }
 
@@ -169,9 +147,11 @@ mod tests {
     fn alto_moves_less_than_colloid_under_high_mlp() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
         let stream = camp_workloads::find("mlc.stream-8t-c0").expect("in suite");
-        let colloid_frac =
-            Colloid::default().place(&ctx, &stream).fast_fraction().expect("static ratio");
-        let alto_frac = Alto::default().place(&ctx, &stream).fast_fraction().expect("static ratio");
+        let dram = Machine::dram_only(ctx.platform).run(&stream);
+        let frac = |policy: &dyn TieringPolicy| {
+            policy.place(&ctx, &stream, &dram).fast_fraction().expect("static ratio")
+        };
+        let (colloid_frac, alto_frac) = (frac(&Colloid), frac(&Alto));
         // Damped steps keep Alto closer to the 0.8 starting point.
         assert!(
             (alto_frac - 0.8).abs() <= (colloid_frac - 0.8).abs() + 1e-9,

@@ -7,41 +7,32 @@ use camp_sim::{Machine, RunReport, Workload};
 /// Outcome of evaluating one policy on one workload.
 #[derive(Debug, Clone)]
 pub struct PolicyResult {
-    /// Policy name.
-    pub policy: String,
-    /// Workload name.
-    pub workload: String,
     /// Performance normalised to DRAM-only execution (1.0 = DRAM-only
     /// speed; higher is better).
     pub normalized_performance: f64,
     /// DRAM footprint fraction the placement used, when statically known.
     pub fast_fraction: Option<f64>,
-    /// Profiling/probe executions the policy consumed.
-    pub profiling_runs: u8,
 }
 
 /// Evaluates `policy` on `workload`: asks for a placement, executes it and
 /// normalises runtime against `baseline`, the caller's DRAM-only run of
 /// `workload` on `ctx.platform` (one run serves every policy compared on
-/// that workload).
+/// that workload, and is the run each policy decides from).
 pub fn evaluate_policy(
     ctx: &PolicyContext<'_>,
     policy: &dyn TieringPolicy,
     workload: &dyn Workload,
     baseline: &RunReport,
 ) -> PolicyResult {
-    let placement = policy.place(ctx, workload);
+    let placement = policy.place(ctx, workload, baseline);
     let fast_fraction = placement.fast_fraction();
     let report = Machine::dram_only(ctx.platform)
         .with_slow_device(ctx.device)
         .with_placement(placement)
         .run(workload);
     PolicyResult {
-        policy: policy.name().to_string(),
-        workload: workload.name().to_string(),
         normalized_performance: baseline.cycles / report.cycles,
         fast_fraction,
-        profiling_runs: policy.profiling_runs(),
     }
 }
 
@@ -62,7 +53,6 @@ mod tests {
         let result = evaluate_policy(&ctx, &FirstTouch, &chase, &baseline);
         assert!(result.normalized_performance > 0.7, "{result:?}");
         assert!(result.normalized_performance <= 1.01, "{result:?}");
-        assert_eq!(result.policy, "First-touch");
     }
 
     #[test]

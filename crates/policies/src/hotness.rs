@@ -9,20 +9,21 @@
 //! (§6.2.3, §6.3).
 
 use crate::policy::{PolicyContext, TieringPolicy};
-use camp_sim::{Op, Placement, Workload, PAGE_BYTES};
-use std::collections::HashMap;
+use camp_sim::{Op, Placement, RunReport, Workload, PAGE_BYTES};
+use std::collections::{HashMap, HashSet};
 
 /// Per-page access statistics from one profiling pass.
 #[derive(Debug, Clone, Copy, Default)]
-struct PageStats {
-    accesses: u64,
+pub(crate) struct PageStats {
+    pub(crate) accesses: u64,
     last_access: u64,
 }
 
-fn profile_pages(workload: &dyn Workload) -> HashMap<u64, PageStats> {
+/// One profiling pass over the workload's trace: per-page access counts
+/// and recency. Cached workloads pay no regeneration.
+pub(crate) fn profile_pages(workload: &dyn Workload) -> HashMap<u64, PageStats> {
     let mut pages: HashMap<u64, PageStats> = HashMap::new();
     let mut position = 0u64;
-    // Profile over the shared trace: cached workloads pay no regeneration.
     let trace = workload.trace();
     for op in trace.iter() {
         let addr = match op {
@@ -37,6 +38,16 @@ fn profile_pages(workload: &dyn Workload) -> HashMap<u64, PageStats> {
     pages
 }
 
+/// Pages ranked by `key`, highest first; ties go to the lower page number.
+pub(crate) fn rank_pages<K: Ord>(
+    pages: &HashMap<u64, PageStats>,
+    key: impl Fn(&PageStats) -> K,
+) -> Vec<(u64, PageStats)> {
+    let mut ranked: Vec<(u64, PageStats)> = pages.iter().map(|(&page, &s)| (page, s)).collect();
+    ranked.sort_by(|a, b| key(&b.1).cmp(&key(&a.1)).then(a.0.cmp(&b.0)));
+    ranked
+}
+
 /// Selects the top `capacity` pages by a ranking key, recording the
 /// traffic share the chosen pages carry (which drives device contention).
 fn top_pages<K: Ord>(
@@ -45,16 +56,15 @@ fn top_pages<K: Ord>(
     key: impl Fn(&PageStats) -> K,
 ) -> Placement {
     let total_accesses: u64 = pages.values().map(|s| s.accesses).sum();
-    let mut ranked: Vec<(&u64, &PageStats)> = pages.iter().collect();
-    ranked.sort_by(|a, b| key(b.1).cmp(&key(a.1)).then(a.0.cmp(b.0)));
-    let chosen: Vec<(&u64, &PageStats)> = ranked.into_iter().take(capacity as usize).collect();
+    let mut chosen = rank_pages(pages, key);
+    chosen.truncate(capacity as usize);
     let fast_accesses: u64 = chosen.iter().map(|(_, s)| s.accesses).sum();
     let traffic_share = if total_accesses > 0 {
         fast_accesses as f64 / total_accesses as f64
     } else {
         1.0
     };
-    let pages: std::collections::HashSet<u64> = chosen.into_iter().map(|(&page, _)| page).collect();
+    let pages: HashSet<u64> = chosen.into_iter().map(|(page, _)| page).collect();
     Placement::FastPageSet { pages, traffic_share }
 }
 
@@ -68,13 +78,14 @@ impl TieringPolicy for Nbt {
         "NBT"
     }
 
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
         let pages = profile_pages(workload);
         top_pages(&pages, ctx.fast_capacity_pages(workload), |s| s.last_access)
-    }
-
-    fn profiling_runs(&self) -> u8 {
-        1
     }
 }
 
@@ -89,20 +100,22 @@ impl TieringPolicy for Soar {
         "Soar"
     }
 
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
         let pages = profile_pages(workload);
         top_pages(&pages, ctx.fast_capacity_pages(workload), |s| s.accesses)
-    }
-
-    fn profiling_runs(&self) -> u8 {
-        1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::{DeviceKind, Platform};
+    use crate::counted::Counted;
+    use camp_sim::{DeviceKind, Machine, Platform};
 
     /// Page 0 is accessed often but early; page 1 rarely but last; pages
     /// 2..10 are in between.
@@ -135,8 +148,10 @@ mod tests {
         ctx
     }
 
-    fn fast_set(placement: Placement) -> std::collections::HashSet<u64> {
-        match placement {
+    /// The pages `policy` puts on DRAM for [`Skewed`].
+    fn fast_set(policy: &dyn TieringPolicy, ctx: &PolicyContext<'_>) -> HashSet<u64> {
+        let dram = Machine::dram_only(ctx.platform).run(&Skewed);
+        match policy.place(ctx, &Skewed, &dram) {
             Placement::FastPageSet { pages, .. } => pages,
             other => panic!("expected page set, got {other:?}"),
         }
@@ -145,7 +160,7 @@ mod tests {
     #[test]
     fn soar_prefers_frequency() {
         let ctx = ctx_with_capacity(0.1); // one page
-        let set = fast_set(Soar.place(&ctx, &Skewed));
+        let set = fast_set(&Soar, &ctx);
         assert!(set.contains(&0), "hottest page pinned: {set:?}");
         assert_eq!(set.len(), 1);
     }
@@ -153,20 +168,25 @@ mod tests {
     #[test]
     fn nbt_prefers_recency() {
         let ctx = ctx_with_capacity(0.1);
-        let set = fast_set(Nbt.place(&ctx, &Skewed));
+        let set = fast_set(&Nbt, &ctx);
         assert!(set.contains(&1), "most recent page promoted: {set:?}");
     }
 
     #[test]
     fn capacity_bounds_the_fast_set() {
         let ctx = ctx_with_capacity(0.5);
-        let set = fast_set(Soar.place(&ctx, &Skewed));
+        let set = fast_set(&Soar, &ctx);
         assert_eq!(set.len(), 5);
     }
 
     #[test]
     fn both_report_one_profiling_pass() {
-        assert_eq!(Nbt.profiling_runs(), 1);
-        assert_eq!(Soar.profiling_runs(), 1);
+        let ctx = ctx_with_capacity(0.5);
+        let dram = Machine::dram_only(ctx.platform).run(&Skewed);
+        for policy in [&Nbt as &dyn TieringPolicy, &Soar] {
+            let skewed = Counted::new(Skewed);
+            let _ = policy.place(&ctx, &skewed, &dram);
+            assert_eq!(skewed.traces(), 1, "{}: one profiling pass, no simulation", policy.name());
+        }
     }
 }

@@ -9,27 +9,19 @@
 //! win on skewed workloads where pure interleaving wastes fast memory on
 //! cold pages and pure tiering forfeits CXL bandwidth.
 
+use crate::hotness::{profile_pages, rank_pages};
 use crate::policy::{PolicyContext, TieringPolicy};
 use camp_core::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
-use camp_sim::{Machine, Op, Placement, Workload, PAGE_BYTES};
-use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use camp_sim::{Machine, Placement, RunReport, Workload};
+use std::collections::HashSet;
+
+/// Fraction of profiled traffic the pinned hot set should cover (bounded
+/// by half the fast capacity).
+const HOT_TRAFFIC_TARGET: f64 = 0.5;
 
 /// The CAMP hybrid policy.
-#[derive(Debug, Clone, Default)]
-pub struct HybridCamp {
-    runs_used: Cell<u8>,
-    /// Fraction of profiled traffic the pinned hot set should cover.
-    hot_traffic_target: f64,
-}
-
-impl HybridCamp {
-    /// Creates the policy with the default hot-set target (pages covering
-    /// half the profiled traffic, bounded by half the fast capacity).
-    pub fn new() -> Self {
-        HybridCamp { runs_used: Cell::new(0), hot_traffic_target: 0.5 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HybridCamp;
 
 impl TieringPolicy for HybridCamp {
     fn name(&self) -> &'static str {
@@ -41,45 +33,35 @@ impl TieringPolicy for HybridCamp {
     /// Panics if the context has no calibrated predictor, or with the
     /// [`camp_core::ModelError`] diagnostic if the profiling runs cannot
     /// be modelled.
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        dram: &RunReport,
+    ) -> Placement {
         let predictor = ctx
             .predictor
             .expect("HybridCamp requires a calibrated predictor in the context");
-        // Profiling pass over the shared trace: per-page traffic (cached
-        // workloads pay no regeneration).
-        let mut pages: HashMap<u64, u64> = HashMap::new();
-        let mut total_accesses = 0u64;
-        let trace = workload.trace();
-        for op in trace.iter() {
-            let addr = match op {
-                Op::Load { addr, .. } | Op::Store { addr } => addr,
-                Op::Compute { .. } => continue,
-            };
-            *pages.entry(addr / PAGE_BYTES).or_default() += 1;
-            total_accesses += 1;
-        }
+        let pages = profile_pages(workload);
+        let total_accesses: u64 = pages.values().map(|s| s.accesses).sum();
         // Hot set: hottest pages covering the traffic target, within half
         // the provisioned fast capacity.
         let capacity = ctx.fast_capacity_pages(workload);
-        let mut ranked: Vec<(u64, u64)> = pages.iter().map(|(&p, &a)| (p, a)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut hot_pages = HashSet::new();
         let mut hot_accesses = 0u64;
-        for (page, accesses) in &ranked {
-            if hot_accesses as f64 >= self.hot_traffic_target * total_accesses as f64
+        for (page, stats) in rank_pages(&pages, |s| s.accesses) {
+            if hot_accesses as f64 >= HOT_TRAFFIC_TARGET * total_accesses as f64
                 || hot_pages.len() as u64 >= capacity / 2
             {
                 break;
             }
-            hot_pages.insert(*page);
-            hot_accesses += accesses;
+            hot_pages.insert(page);
+            hot_accesses += stats.accesses;
         }
         // Best-shot ratio for the cold remainder.
-        let dram = Machine::dram_only(ctx.platform).run_trace(workload, &trace);
-        let slow = || Machine::slow_only(ctx.platform, ctx.device).run_trace(workload, &trace);
-        let model = InterleaveModel::profile(&dram, slow, predictor, DEFAULT_TAU)
+        let slow = || Machine::slow_only(ctx.platform, ctx.device).run(workload);
+        let model = InterleaveModel::profile(dram, slow, predictor, DEFAULT_TAU)
             .unwrap_or_else(|error| panic!("{error}"));
-        self.runs_used.set(model.profiling_runs + 1);
         let ratio = best_shot(&model).ratio;
         let total_pages = pages.len() as u64;
         let cold_pages = total_pages.saturating_sub(hot_pages.len() as u64).max(1);
@@ -97,15 +79,13 @@ impl TieringPolicy for HybridCamp {
             fast_traffic_share,
         }
     }
-
-    fn profiling_runs(&self) -> u8 {
-        self.runs_used.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::Counted;
+    use camp_core::interleave::{classify, Boundness};
     use camp_core::{Calibration, CampPredictor};
     use camp_sim::{DeviceKind, Platform};
     use camp_workloads::kernels::{Gather, PointerChase};
@@ -118,14 +98,17 @@ mod tests {
         CampPredictor::new(Calibration::fit_with(Platform::Skx2s, DeviceKind::CxlA, &probes))
     }
 
+    // Built through `Default` on purpose: a derived `Default` once left
+    // the hot-set target at 0.0, which pins no pages.
+    #[allow(clippy::default_constructed_unit_structs)]
     #[test]
     fn hybrid_pins_a_bounded_hot_set() {
         let p = predictor();
         let ctx = crate::PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA).with_predictor(&p);
         // Zipf-skewed gather: a small hot set carries most traffic.
         let workload = Gather::new("hybrid-zipf", 2, 1 << 16, 0, 10, 1, true, 60_000);
-        let placement = HybridCamp::new().place(&ctx, &workload);
-        match placement {
+        let dram = Machine::dram_only(ctx.platform).run(&workload);
+        match HybridCamp::default().place(&ctx, &workload, &dram) {
             Placement::Hybrid { hot_pages, fast_traffic_share, .. } => {
                 assert!(!hot_pages.is_empty(), "hot set must exist for zipf traffic");
                 let capacity = ctx.fast_capacity_pages(&workload);
@@ -140,9 +123,12 @@ mod tests {
     fn hybrid_runs_profile_plus_model() {
         let p = predictor();
         let ctx = crate::PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA).with_predictor(&p);
-        let workload = Gather::new("hybrid-runs", 1, 1 << 14, 0, 0, 1, true, 20_000);
-        let policy = HybridCamp::new();
-        let _ = policy.place(&ctx, &workload);
-        assert!(policy.profiling_runs() >= 2, "profile pass + model run(s)");
+        let workload = Counted::new(Gather::new("hybrid-runs", 1, 1 << 14, 0, 0, 1, true, 20_000));
+        let dram = Machine::dram_only(ctx.platform).run(&workload.inner);
+        let _ = HybridCamp.place(&ctx, &workload, &dram);
+        // One profiling pass, plus the slow-tier run a bandwidth-bound
+        // workload's model needs; the DRAM run is the caller's.
+        let slow_runs = usize::from(classify(&dram, DEFAULT_TAU) == Boundness::BandwidthBound);
+        assert_eq!(workload.traces(), 1 + slow_runs);
     }
 }

@@ -1,8 +1,8 @@
-//! Baseline tiering, interleaving and colocation policies (§6.2 of the
-//! paper).
+//! Tiering and interleaving policies (§6.2 of the paper): Best-shot and
+//! the seven baselines it is compared against, plus the §6.4 hybrid.
 //!
-//! CAMP's Best-shot policy is compared against seven systems. Each is
-//! re-implemented here as its *decision rule* driving the same simulator:
+//! Each baseline is re-implemented here as its *decision rule* driving the
+//! same simulator:
 //!
 //! | Policy | Decision rule |
 //! |---|---|
@@ -16,7 +16,9 @@
 //!
 //! All baselines are provisioned with a 4:1 fast:slow capacity split (80%
 //! of the footprint fits in DRAM), matching §6.2.1; Best-shot uses only
-//! its analytically chosen ratio.
+//! its analytically chosen ratio. Every policy is a stateless unit struct
+//! that decides from the caller's DRAM-only run. Colocation policies
+//! (§6.3) live in `camp_core::colocation`.
 
 #![warn(missing_docs)]
 pub mod bestshot;
@@ -41,11 +43,56 @@ pub use staticpol::{FirstTouch, Interleave1to1};
 pub fn baseline_policies() -> Vec<Box<dyn TieringPolicy>> {
     vec![
         Box::new(Interleave1to1),
-        Box::new(Caption::default()),
+        Box::new(Caption),
         Box::new(FirstTouch),
         Box::new(Nbt),
-        Box::new(Colloid::default()),
-        Box::new(Alto::default()),
+        Box::new(Colloid),
+        Box::new(Alto),
         Box::new(Soar),
     ]
+}
+
+#[cfg(test)]
+pub(crate) mod counted {
+    use camp_sim::{Op, OpTrace, Workload};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Counts the op-stream resolutions behind a policy's decision: every
+    /// simulation and every profiling pass over the workload calls
+    /// [`Workload::trace`] once.
+    pub(crate) struct Counted<W> {
+        pub(crate) inner: W,
+        traces: AtomicUsize,
+    }
+
+    impl<W> Counted<W> {
+        pub(crate) fn new(inner: W) -> Self {
+            Counted { inner, traces: AtomicUsize::new(0) }
+        }
+
+        /// `trace()` calls so far.
+        pub(crate) fn traces(&self) -> usize {
+            self.traces.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<W: Workload> Workload for Counted<W> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn threads(&self) -> u32 {
+            self.inner.threads()
+        }
+        fn footprint_bytes(&self) -> u64 {
+            self.inner.footprint_bytes()
+        }
+        fn ops(&self) -> Box<dyn Iterator<Item = Op> + '_> {
+            self.inner.ops()
+        }
+        fn trace(&self) -> Arc<OpTrace> {
+            self.traces.fetch_add(1, Ordering::Relaxed);
+            self.inner.trace()
+        }
+    }
 }

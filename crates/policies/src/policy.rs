@@ -1,7 +1,7 @@
 //! The tiering-policy abstraction and evaluation context.
 
 use camp_core::CampPredictor;
-use camp_sim::{DeviceKind, Placement, Platform, Workload, PAGE_BYTES};
+use camp_sim::{DeviceKind, Placement, Platform, RunReport, Workload, PAGE_BYTES};
 
 /// Shared context for placement decisions: the machine, the provisioned
 /// fast-tier capacity, and (for CAMP-based policies) a calibrated
@@ -44,21 +44,22 @@ impl<'a> PolicyContext<'a> {
 
 /// A tiered-memory placement policy.
 ///
-/// Policies observe the workload (possibly via profiling runs, which they
-/// must count in [`profiling_runs`](TieringPolicy::profiling_runs)) and
-/// produce a static [`Placement`] that the evaluation harness then runs.
+/// Policies are stateless. Each decides from the caller's DRAM-only run
+/// of the workload, plus whatever probe runs or trace passes its
+/// decision rule needs, and produces a static [`Placement`] that the
+/// evaluation harness then runs.
 pub trait TieringPolicy {
     /// Display name (matching the paper's Figure 15 labels).
     fn name(&self) -> &'static str;
 
-    /// Decides a placement for `workload`.
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement;
-
-    /// Number of profiling/probe executions the decision consumed (the
-    /// search overhead the paper charges against reactive policies).
-    fn profiling_runs(&self) -> u8 {
-        0
-    }
+    /// Decides a placement for `workload`. `dram` is the caller's
+    /// DRAM-only run of `workload` on `ctx.platform`.
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        dram: &RunReport,
+    ) -> Placement;
 }
 
 #[cfg(test)]

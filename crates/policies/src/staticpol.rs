@@ -1,7 +1,7 @@
 //! Static placement baselines: Linux 1:1 interleaving and first-touch.
 
 use crate::policy::{PolicyContext, TieringPolicy};
-use camp_sim::{Op, Placement, Workload, PAGE_BYTES};
+use camp_sim::{Op, Placement, RunReport, Workload, PAGE_BYTES};
 use std::collections::HashSet;
 
 /// Linux's default `MPOL_INTERLEAVED`: pages alternate 50:50 between the
@@ -14,7 +14,12 @@ impl TieringPolicy for Interleave1to1 {
         "Interleave 1:1"
     }
 
-    fn place(&self, _ctx: &PolicyContext<'_>, _workload: &dyn Workload) -> Placement {
+    fn place(
+        &self,
+        _ctx: &PolicyContext<'_>,
+        _workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
         Placement::WeightedInterleave { fast_weight: 1, slow_weight: 1 }
     }
 }
@@ -36,7 +41,12 @@ impl TieringPolicy for FirstTouch {
         "First-touch"
     }
 
-    fn place(&self, ctx: &PolicyContext<'_>, workload: &dyn Workload) -> Placement {
+    fn place(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &dyn Workload,
+        _dram: &RunReport,
+    ) -> Placement {
         let capacity = ctx.fast_capacity_pages(workload);
         let mut fast: HashSet<u64> = HashSet::new();
         let mut seen: HashSet<u64> = HashSet::new();
@@ -70,7 +80,8 @@ impl TieringPolicy for FirstTouch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::{DeviceKind, Platform, PAGE_BYTES};
+    use crate::counted::Counted;
+    use camp_sim::{DeviceKind, Machine, Platform, PAGE_BYTES};
 
     struct Tiny;
     impl Workload for Tiny {
@@ -88,9 +99,11 @@ mod tests {
     #[test]
     fn interleave_is_always_fifty_fifty() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
-        let placement = Interleave1to1.place(&ctx, &Tiny);
+        let tiny = Counted::new(Tiny);
+        let dram = Machine::dram_only(ctx.platform).run(&Tiny);
+        let placement = Interleave1to1.place(&ctx, &tiny, &dram);
         assert_eq!(placement.fast_fraction(), Some(0.5));
-        assert_eq!(Interleave1to1.profiling_runs(), 0);
+        assert_eq!(tiny.traces(), 0, "a fixed split needs no pass over the workload");
     }
 
     struct SequentialTouch;
@@ -109,7 +122,8 @@ mod tests {
     #[test]
     fn first_touch_admits_pages_in_touch_order_up_to_capacity() {
         let ctx = PolicyContext::new(Platform::Skx2s, DeviceKind::CxlA);
-        match FirstTouch.place(&ctx, &SequentialTouch) {
+        let dram = Machine::dram_only(ctx.platform).run(&SequentialTouch);
+        match FirstTouch.place(&ctx, &SequentialTouch, &dram) {
             Placement::FastPageSet { pages, traffic_share } => {
                 assert_eq!(pages.len(), 80, "capacity is 80% of 100 pages");
                 assert!((0..80).all(|p| pages.contains(&p)), "first-touched pages admitted");

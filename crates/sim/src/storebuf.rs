@@ -32,7 +32,6 @@ pub struct StoreBuffer {
     rfo_slots: BinaryHeap<Reverse<Time>>,
     /// Issue time of the most recently issued RFO (in-order drain).
     last_rfo_issue: f64,
-    admissions: u64,
     full_waits: u64,
 }
 
@@ -51,7 +50,6 @@ impl StoreBuffer {
             entries: BinaryHeap::with_capacity(capacity + 1),
             rfo_slots: BinaryHeap::with_capacity(drain_parallelism + 1),
             last_rfo_issue: 0.0,
-            admissions: 0,
             full_waits: 0,
         }
     }
@@ -65,7 +63,6 @@ impl StoreBuffer {
     /// actually obtained (`>= now`; later only when the buffer was full).
     /// The difference is the store-bound stall exposed to the pipeline.
     pub fn admit(&mut self, now: f64) -> f64 {
-        self.admissions += 1;
         // Free entries whose stores completed.
         while let Some(&Reverse(Time(t))) = self.entries.peek() {
             if t > now {
@@ -114,11 +111,6 @@ impl StoreBuffer {
     /// in-flight RFO). Only the SB entry is occupied until then.
     pub fn complete_fast(&mut self, completion: f64) {
         self.entries.push(Reverse(Time::new(completion)));
-    }
-
-    /// Number of stores admitted.
-    pub fn admissions(&self) -> u64 {
-        self.admissions
     }
 
     /// Number of admissions that found the buffer full.

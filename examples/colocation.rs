@@ -6,7 +6,7 @@
 //! cargo run --release --example colocation [workload-a] [workload-b]
 //! ```
 
-use camp::model::colocation::{place_and_run, ColocationPolicy};
+use camp::model::colocation::{place_and_run, solo_runs, ColocationPolicy};
 use camp::model::{Calibration, CampPredictor};
 use camp::pmu::derived;
 use camp::sim::{DeviceKind, Machine, Platform};
@@ -32,8 +32,12 @@ fn main() {
         );
     }
 
+    // Both policies decide from one pair of solo runs under the
+    // colocation's shared LLC.
+    let (solo_a, solo_b) = solo_runs(platform, &a, &b);
     for policy in [ColocationPolicy::Camp, ColocationPolicy::Mpki] {
-        let outcome = place_and_run(platform, device, &a, &b, policy, &predictor);
+        let outcome =
+            place_and_run(platform, device, (&a, &solo_a), (&b, &solo_b), policy, &predictor);
         println!(
             "\n{policy:?}-guided: {} on DRAM, {} on {device}",
             outcome.fast_workload, outcome.slow_workload

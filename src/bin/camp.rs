@@ -11,7 +11,7 @@
 //!          --validate                 also run the slow tier and compare
 //! ```
 
-use camp::model::colocation::{place_and_run, ColocationPolicy};
+use camp::model::colocation::{place_and_run, solo_runs, ColocationPolicy};
 use camp::model::interleave::{best_shot, InterleaveModel, DEFAULT_TAU};
 use camp::model::{Calibration, CampPredictor, MeasuredComponents};
 use camp::sim::{DeviceKind, Machine, Platform};
@@ -147,8 +147,16 @@ fn cmd_colocate(options: &Options) -> Result<(), String> {
     let b = find_workload(b_name)?;
     eprintln!("calibrating for {} + {}...", options.platform, options.device);
     let predictor = CampPredictor::new(Calibration::fit(options.platform, options.device));
+    let (solo_a, solo_b) = solo_runs(options.platform, &a, &b);
     for policy in [ColocationPolicy::Camp, ColocationPolicy::Mpki] {
-        let outcome = place_and_run(options.platform, options.device, &a, &b, policy, &predictor);
+        let outcome = place_and_run(
+            options.platform,
+            options.device,
+            (&a, &solo_a),
+            (&b, &solo_b),
+            policy,
+            &predictor,
+        );
         println!(
             "{policy:?}: {} on DRAM, {} on {} -> mean slowdown {:+.1}%",
             outcome.fast_workload,

@@ -8,7 +8,8 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! - [`pmu`] — the PMU counter vocabulary (Table 5) and epoch sampling.
+//! - [`pmu`] — the PMU counter vocabulary (Table 5) and derived metrics
+//!   (latency, MLP, MPKI); per-epoch sampling lives in [`sim::Epoch`].
 //! - [`sim`] — the hardware substrate: an out-of-order core model with
 //!   finite LFB/SQ/SB buffers, hardware prefetchers, a cache hierarchy and
 //!   queueing memory devices, replacing the CXL/NUMA testbed the paper used.
@@ -17,9 +18,10 @@
 //! - [`model`] — the CAMP analytical models: per-component slowdown
 //!   prediction (Eq. 5–7), interleaving synthesis (Eq. 8–10), Best-shot and
 //!   colocation policies, calibration, and the baseline metrics of Table 1.
-//! - [`policies`] — the baseline tiering/interleaving systems CAMP is
-//!   compared against (Colloid, NBT, Caption, Alto, Soar, first-touch,
-//!   static interleaving).
+//! - [`policies`] — Best-shot as a tiering policy, the baseline
+//!   tiering/interleaving systems it is compared against (Colloid, NBT,
+//!   Caption, Alto, Soar, first-touch, static interleaving) and the §6.4
+//!   hybrid, each deciding from the caller's DRAM-only run.
 //!
 //! # Quickstart
 //!
