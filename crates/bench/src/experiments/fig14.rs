@@ -5,7 +5,6 @@
 use crate::harness::{fmt, Context, Table};
 use camp_core::interleave::best_shot;
 use camp_core::stats;
-use camp_sim::Machine;
 
 use super::fig9::{profile, sweep, DEVICE, PLATFORM, SWEEP_STEPS};
 
@@ -27,7 +26,8 @@ pub fn run(ctx: &Context) -> Vec<Table> {
     let mut all_errors: Vec<f64> = Vec::new();
     for workload in camp_workloads::interleaving_workloads() {
         // One shared trace feeds the profiling runs, the sweep and the
-        // run at the predicted ratio.
+        // run at the predicted ratio, which the sweep already holds when
+        // it lands on the sweep's grid.
         let traced = ctx.traces().wrap(workload.as_ref());
         let (baseline, points) = sweep(ctx, &traced, SWEEP_STEPS);
         let model = profile(ctx, &traced, &predictor);
@@ -43,7 +43,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
             .iter()
             .min_by(|a, b| a.1.cycles.partial_cmp(&b.1.cycles).expect("finite"))
             .expect("sweep non-empty");
-        let at_pred = Machine::interleaved(PLATFORM, DEVICE, choice.ratio).run(&traced);
+        let at_pred = ctx.run_interleaved(PLATFORM, DEVICE, choice.ratio, &traced);
         let perf_pred = baseline.cycles / at_pred.cycles;
         let perf_oracle = baseline.cycles / oracle.1.cycles;
         per_workload.row(&[

@@ -12,7 +12,7 @@ use crate::harness::{fmt, Context, Table};
 use camp_core::interleave::{InterleaveModel, DEFAULT_TAU};
 use camp_core::{CampPredictor, MeasuredComponents, Signature};
 use camp_pmu::Event;
-use camp_sim::{DeviceKind, Machine, Platform, RunReport, Workload};
+use camp_sim::{par, DeviceKind, Platform, RunReport, Workload};
 use std::sync::Arc;
 
 /// Interleaving experiments run on the SKX testbed against CXL-A (whose
@@ -21,29 +21,28 @@ use std::sync::Arc;
 pub const PLATFORM: Platform = Platform::Skx2s;
 /// The slow tier for the interleaving experiments.
 pub const DEVICE: DeviceKind = DeviceKind::CxlA;
-/// Ratio-sweep step count (the paper sweeps 101 ratios; 20 steps keep the
-/// regeneration fast while preserving the curve shape).
+/// Ratio-sweep step count: 21 ratios on a 5 % grid (the paper sweeps 101
+/// ratios; 20 steps keep the regeneration fast while preserving the curve
+/// shape).
 pub const SWEEP_STEPS: usize = 20;
 
-/// Runs the ratio sweep for one workload, returning
-/// `(x, interleaved report)` pairs plus the DRAM baseline, which comes
-/// from [`Context::run`]. Pass a workload wrapped by
+/// Runs the ratio sweep for one workload, returning `(x, interleaved
+/// report)` pairs plus the DRAM baseline. Every run comes from the
+/// [`Context`] memo ([`Context::run`], [`Context::run_interleaved`]), so
+/// figures sweeping the same workload share one simulation per ratio, and
+/// the ratios fan out over [`Context::jobs`]. Pass a workload wrapped by
 /// [`camp_sim::TraceCache::wrap`] so the baseline and every ratio share
 /// one generated trace.
 pub fn sweep(
     ctx: &Context,
     workload: &dyn Workload,
     steps: usize,
-) -> (Arc<RunReport>, Vec<(f64, RunReport)>) {
+) -> (Arc<RunReport>, Vec<(f64, Arc<RunReport>)>) {
     let baseline = ctx.run(PLATFORM, None, workload);
-    let sweep = (0..=steps)
-        .map(|i| {
-            let x = i as f64 / steps as f64;
-            let report = Machine::interleaved(PLATFORM, DEVICE, x).run(workload);
-            (x, report)
-        })
-        .collect();
-    (baseline, sweep)
+    let ratios: Vec<f64> = (0..=steps).map(|i| i as f64 / steps as f64).collect();
+    let reports =
+        par::par_map(ctx.jobs(), &ratios, |&x| ctx.run_interleaved(PLATFORM, DEVICE, x, workload));
+    (baseline, ratios.into_iter().zip(reports).collect())
 }
 
 /// Builds the interleaving model (the Figure 12 workflow) from the
@@ -189,31 +188,34 @@ mod tests {
             Box::new(PointerChase::new("calib.fig9-c8", 1, 1 << 16, 8, 5_000)),
         ];
         let predictor = CampPredictor::new(Calibration::fit_with(PLATFORM, DEVICE, &probes));
-        let ctx = Context::new();
+        let ctx = Context::new().with_jobs(2);
         let stream = StreamKernel::new("fig9-test-stream", 8, 2, 1 << 16, 0, 0, 60_000);
         let chase = PointerChase::new("fig9-test-chase", 1, 1 << 14, 1, 5_000);
         for (workload, boundness, runs) in [
             (&stream as &dyn Workload, Boundness::BandwidthBound, 2),
             (&chase, Boundness::LatencyBound, 1),
         ] {
+            let name = workload.name();
             let before = ctx.runs_executed();
             let traced = Counted {
                 inner: ctx.traces().wrap(workload),
                 direct_runs: AtomicUsize::new(0),
             };
-            let (baseline, _) = sweep(&ctx, &traced, 2);
+            let (baseline, points) = sweep(&ctx, &traced, 2);
+            assert_eq!(ctx.runs_executed() - before, 4, "{name}: the baseline and three ratios");
             let model = profile(&ctx, &traced, &predictor);
-            assert_eq!(model.boundness, boundness, "{}", workload.name());
+            assert_eq!(model.boundness, boundness, "{name}");
             assert_eq!(model.profiling_runs, runs);
-            assert_eq!(ctx.runs_executed() - before, runs as usize, "{}", workload.name());
-            assert_eq!(traced.direct_runs.into_inner(), 3, "only the three ratios run directly");
+            assert_eq!(ctx.runs_executed() - before, 4, "{name}: profiling recalls the sweep");
+            let (_, again) = sweep(&ctx, &traced, 2);
+            assert_eq!(ctx.runs_executed() - before, 4, "{name}: a second sweep executes nothing");
+            assert_eq!(traced.direct_runs.into_inner(), 0, "{name}: no run bypasses the memo");
             assert!(Arc::ptr_eq(&baseline, &ctx.run(PLATFORM, None, workload)));
+            // x = 0 is the slow-tier endpoint run.
+            assert!(Arc::ptr_eq(&points[0].1, &ctx.run(PLATFORM, Some(DEVICE), workload)));
+            for ((x, first), (_, second)) in points.iter().zip(&again) {
+                assert!(Arc::ptr_eq(first, second), "{name}: x = {x} simulated twice");
+            }
         }
-        // The stream's slow run is already memoized; the chase's never ran.
-        let executed = ctx.runs_executed();
-        ctx.run(PLATFORM, Some(DEVICE), &stream);
-        assert_eq!(ctx.runs_executed(), executed);
-        ctx.run(PLATFORM, Some(DEVICE), &chase);
-        assert_eq!(ctx.runs_executed(), executed + 1);
     }
 }

@@ -2,8 +2,9 @@
 //! fitted from them, and plain-text table output.
 //!
 //! Several experiments consume the same (platform, device) endpoint runs
-//! of the full 265-workload suite; the [`Context`] memoises them so
-//! `repro all` pays for each run once. The cache is thread-safe with
+//! of the full 265-workload suite, and the interleaving figures the same
+//! ratio sweeps; the [`Context`] memoises both in one table so `repro all`
+//! pays for each run once. The cache is thread-safe with
 //! single-flight semantics: experiments running on different threads (and
 //! [`Context::prefetch_runs`] fan-outs within an experiment) share one
 //! cache, and two threads requesting the same endpoint run never simulate
@@ -13,12 +14,13 @@ use camp_core::{Calibration, CampPredictor};
 use camp_obs::Recorder;
 use camp_sim::memo::Memo;
 use camp_sim::par;
-use camp_sim::{DeviceKind, Machine, Platform, RunReport, TraceCache, Workload};
+use camp_sim::{DeviceKind, Machine, Placement, Platform, RunReport, TraceCache, Workload};
 use std::sync::Arc;
 
-/// Cache key for one endpoint run: platform, slow device (`None` = DRAM
-/// only), workload name.
-type RunKey = (Platform, Option<DeviceKind>, String);
+/// Cache key for one run: platform, slow device (`None` = DRAM only),
+/// percent of the pages on DRAM (100 for DRAM-only, 0 for slow-only),
+/// workload name.
+type RunKey = (Platform, Option<DeviceKind>, u8, String);
 
 /// Memoising experiment context, shareable across threads.
 pub struct Context {
@@ -79,23 +81,58 @@ impl Context {
         device: Option<DeviceKind>,
         workload: &dyn Workload,
     ) -> Arc<RunReport> {
-        let key = (platform, device, workload.name().to_string());
+        self.run_at(platform, device, if device.is_some() { 0 } else { 100 }, workload)
+    }
+
+    /// Runs (or recalls) `workload` on `platform` with its pages
+    /// weighted-interleaved between DRAM and `device` at DRAM fraction `x`
+    /// ([`Machine::interleaved`]). Memoized, spanned and failure-attributed
+    /// like [`Context::run`], on the same memo: `x` is keyed by the percent
+    /// it rounds to, so `x = 0` recalls the slow-tier endpoint run, while
+    /// `x = 1` (a machine with an idle slow tier) is a run of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not in `[0, 1]` or is NaN, before touching the
+    /// memo; otherwise as [`Context::run`].
+    pub fn run_interleaved(
+        &self,
+        platform: Platform,
+        device: DeviceKind,
+        x: f64,
+        workload: &dyn Workload,
+    ) -> Arc<RunReport> {
+        let fraction = Placement::interleave_ratio(x).fast_fraction().expect("a static ratio");
+        self.run_at(platform, Some(device), (fraction * 100.0).round() as u8, workload)
+    }
+
+    /// The memoized run behind [`Context::run`] and
+    /// [`Context::run_interleaved`]: `percent` of the pages on DRAM, the
+    /// rest on `device`.
+    fn run_at(
+        &self,
+        platform: Platform,
+        device: Option<DeviceKind>,
+        percent: u8,
+        workload: &dyn Workload,
+    ) -> Arc<RunReport> {
+        let key = (platform, device, percent, workload.name().to_string());
         self.runs.get_or_compute(&key, || {
-            let device_label = match device {
-                None => "dram-only".to_string(),
-                Some(kind) => kind.to_string(),
+            let (machine, device_label) = match (device, percent) {
+                (None, _) => (Machine::dram_only(platform), "dram-only".to_string()),
+                (Some(kind), 0) => (Machine::slow_only(platform, kind), kind.to_string()),
+                (Some(kind), _) => (
+                    Machine::interleaved(platform, kind, f64::from(percent) / 100.0),
+                    format!("{kind}@{percent}%"),
+                ),
             };
             // Run spans are rooted, not nested: under a parallel sweep the
             // single-flight winner is scheduling-dependent, and the span
             // tree must not be.
             let span_name = format!("{platform}/{device_label}/{}", workload.name());
             let mut span = self.obs.scope_rooted("run", span_name.clone());
-            let machine = match device {
-                None => Machine::dram_only(platform),
-                Some(kind) => Machine::slow_only(platform, kind),
-            };
             // Route through the shared trace cache: the op stream is
-            // generated once per workload, not once per endpoint run.
+            // generated once per workload, not once per run.
             let traced = self.traces.wrap(workload);
             // `try_run` validates first; once validation passes no engine
             // assertion can fire, so there is no panic to catch here.
@@ -110,7 +147,7 @@ impl Context {
                 Err(error) => {
                     span.attr("ok", false);
                     panic!(
-                        "endpoint run failed (platform {platform}, device {device_label}, \
+                        "run failed (platform {platform}, device {device_label}, \
                          workload '{}'): invalid machine configuration: {error}",
                         workload.name(),
                     );
@@ -222,8 +259,8 @@ impl Context {
         self.runs.computed()
     }
 
-    /// Number of [`Context::run`] requests so far (executions plus cache
-    /// hits).
+    /// Number of [`Context::run`] and [`Context::run_interleaved`]
+    /// requests so far (executions plus cache hits).
     pub fn runs_requested(&self) -> usize {
         self.runs.requests()
     }
@@ -415,6 +452,67 @@ mod tests {
             ctx.run(Platform::Spr2s, Some(DeviceKind::CxlA), &Broken)
         }));
         assert!(retry.is_err(), "retry of the broken key fails loudly again");
+        let interleaved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.run_interleaved(Platform::Spr2s, DeviceKind::CxlA, 0.5, &Broken)
+        }))
+        .expect_err("broken workload must not produce an interleaved report");
+        let detail = crate::panic_detail(interleaved.as_ref());
+        assert!(detail.contains("device CXL-A@50%"), "payload names the ratio: {detail}");
+    }
+
+    #[test]
+    fn interleaved_runs_share_the_memo_keyed_by_machine() {
+        let ctx = Context::new();
+        let w = PointerChase::new("ctx-il-chase", 1, 1 << 14, 1, 5_000);
+        let (p, d) = (Platform::Skx2s, DeviceKind::CxlA);
+        let slow = ctx.run(p, Some(d), &w);
+        let dram = ctx.run(p, None, &w);
+        // x = 0 places every page on the slow tier: the slow-only machine.
+        assert!(Arc::ptr_eq(&ctx.run_interleaved(p, d, 0.0, &w), &slow));
+        // x = 1 still configures the slow tier, so it is a machine (and a
+        // run) of its own.
+        let all_fast = ctx.run_interleaved(p, d, 1.0, &w);
+        assert!(!Arc::ptr_eq(&all_fast, &dram));
+        assert!(all_fast.slow_tier.is_some());
+        // Ratios are keyed by the percent they round to.
+        let a = ctx.run_interleaved(p, d, 0.349, &w);
+        let b = ctx.run_interleaved(p, d, 0.351, &w);
+        assert!(Arc::ptr_eq(&a, &b), "0.349 and 0.351 both interleave 35:65");
+        assert_eq!(ctx.runs_requested(), 6);
+        assert_eq!(ctx.runs_executed(), 4);
+        let mut names: Vec<String> = ctx
+            .recorder()
+            .records()
+            .into_iter()
+            .filter(|r| r.category == "run")
+            .map(|r| r.name)
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "SKX2S/CXL-A/ctx-il-chase",
+                "SKX2S/CXL-A@100%/ctx-il-chase",
+                "SKX2S/CXL-A@35%/ctx-il-chase",
+                "SKX2S/dram-only/ctx-il-chase",
+            ]
+        );
+    }
+
+    #[test]
+    fn bad_ratio_panics_before_touching_the_memo() {
+        let ctx = Context::new();
+        let w = PointerChase::new("ctx-il-bad", 1, 1 << 14, 1, 5_000);
+        let (p, d) = (Platform::Skx2s, DeviceKind::CxlA);
+        for x in [-0.01, 1.01, f64::NAN] {
+            let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.run_interleaved(p, d, x, &w)
+            }));
+            assert!(failure.is_err(), "x = {x} must be rejected");
+        }
+        assert_eq!(ctx.runs_requested(), 0, "a rejected ratio makes no memo entry");
+        assert_eq!(ctx.run_interleaved(p, d, 0.5, &w).workload, "ctx-il-bad");
+        assert_eq!(ctx.runs_executed(), 1);
     }
 
     #[test]

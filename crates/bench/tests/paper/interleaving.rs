@@ -5,7 +5,7 @@
 use crate::{ctx, traced};
 use camp_core::interleave::{best_shot, classify, Boundness, InterleaveModel, DEFAULT_TAU};
 use camp_core::MeasuredComponents;
-use camp_sim::{DeviceKind, Machine, Platform};
+use camp_sim::{DeviceKind, Platform};
 
 const PLATFORM: Platform = Platform::Skx2s;
 const DEVICE: DeviceKind = DeviceKind::CxlA;
@@ -29,7 +29,7 @@ fn bandwidth_bound_stream_classifies_and_bathtubs() {
     assert!(choice.predicted_slowdown < 0.0, "predicted speedup expected");
 
     // The chosen ratio must actually beat DRAM-only.
-    let chosen = Machine::interleaved(PLATFORM, DEVICE, choice.ratio).run(&workload);
+    let chosen = ctx().run_interleaved(PLATFORM, DEVICE, choice.ratio, &workload);
     assert!(
         chosen.slowdown_vs(&dram) < 0.0,
         "measured {:+.3} at ratio {:.2}",
@@ -68,8 +68,7 @@ fn synthesized_curve_tracks_measurement() {
     let mut max_err = 0.0f64;
     for i in 0..=5 {
         let x = i as f64 / 5.0;
-        let actual =
-            Machine::interleaved(PLATFORM, DEVICE, x).run(&workload).slowdown_vs(&baseline);
+        let actual = ctx().run_interleaved(PLATFORM, DEVICE, x, &workload).slowdown_vs(&baseline);
         max_err = max_err.max((model.predict_total(x) - actual).abs());
     }
     assert!(max_err < 0.20, "max curve error {max_err}");
@@ -99,7 +98,7 @@ fn mlp_is_invariant_across_ratios() {
     let workload = traced("spec.603.bwaves-8t");
     let mut mlps = Vec::new();
     for x in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let report = Machine::interleaved(PLATFORM, DEVICE, x).run(&workload);
+        let report = ctx().run_interleaved(PLATFORM, DEVICE, x, &workload);
         if let Some(mlp) = report.mlp() {
             mlps.push(mlp);
         }

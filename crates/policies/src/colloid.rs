@@ -23,6 +23,10 @@ const ALTO_MLP_THRESHOLD: f64 = 4.0;
 
 /// Shared latency-equalisation loop: one probe run per round, at most
 /// [`ITERATIONS`] rounds. Returns the DRAM fraction it settles on.
+///
+/// A round that leaves `x` unchanged (the clamp held it) ends the loop:
+/// every later round would probe the same machine, see the same latencies
+/// and be clamped back to the same `x`.
 fn equalise(ctx: &PolicyContext<'_>, workload: &dyn Workload, damping: impl Fn(f64) -> f64) -> f64 {
     // Start from the provisioned first-touch-like split.
     let mut x = ctx.fast_capacity_fraction;
@@ -43,12 +47,16 @@ fn equalise(ctx: &PolicyContext<'_>, workload: &dyn Workload, damping: impl Fn(f
         let effective_step = step * damping(mlp);
         // Equalise: if DRAM is slower (congested), move pages off DRAM;
         // if CXL is slower, move pages onto DRAM (bounded by capacity).
-        if fast_latency > slow_latency {
-            x -= effective_step;
+        let next = if fast_latency > slow_latency {
+            x - effective_step
         } else {
-            x += effective_step;
+            x + effective_step
         }
-        x = x.clamp(0.1, ctx.fast_capacity_fraction);
+        .clamp(0.1, ctx.fast_capacity_fraction);
+        if next.to_bits() == x.to_bits() {
+            break;
+        }
+        x = next;
         step *= 0.6;
     }
     x
@@ -115,9 +123,9 @@ mod tests {
         let dram = Machine::dram_only(ctx.platform).run(&chase.inner);
         let frac = Colloid.place(&ctx, &chase, &dram).fast_fraction().expect("static ratio");
         assert!((frac - 0.8).abs() < 0.05, "capacity-bound: {frac}");
-        // x never leaves [0.1, 0.8], so the slow tier is always populated
-        // and every round probes.
-        assert_eq!(chase.traces(), 6, "one probe run per round");
+        // The first round's move is clamped back to the 0.8 start, and a
+        // round that leaves x unchanged is the loop's fixed point.
+        assert_eq!(chase.traces(), 1, "one probe run, then the fixed point");
     }
 
     #[test]

@@ -538,6 +538,30 @@ fn interleave_ratio_is_respected() {
     }
 }
 
+/// Interleaving at `x = 1` places every page on DRAM: the run equals the
+/// DRAM-only run bit for bit, and the configured slow tier sees no traffic.
+#[test]
+fn interleaving_everything_on_dram_is_the_dram_only_run() {
+    use camp_sim::mem::DeviceStats;
+    let mut rng = Rng(0xd7a3);
+    for platform in [Platform::Skx2s, Platform::Spr2s, Platform::Emr2s] {
+        for device in DeviceKind::SLOW_TIERS.into_iter().flat_map(|d| [d, d]) {
+            let footprint = 1 << (16 + rng.below(8));
+            let len = 1 + rng.below(400) as usize;
+            let ops: Vec<Op> = (0..len).map(|_| rng.op(footprint)).collect();
+            let workload = traced(1 + rng.below(8) as u32, footprint, ops);
+            let dram = Machine::dram_only(platform).run(&workload);
+            let all_fast = Machine::interleaved(platform, device, 1.0).run(&workload);
+            let case = format!("{platform} + {device}, {len} ops");
+            assert_eq!(all_fast.cycles.to_bits(), dram.cycles.to_bits(), "{case}");
+            assert_eq!(all_fast.counters, dram.counters, "{case}");
+            assert_eq!(all_fast.fast_tier.stats, dram.fast_tier.stats, "{case}");
+            let slow = all_fast.slow_tier.expect("slow tier configured");
+            assert_eq!(slow.stats, DeviceStats::default(), "{case}: slow tier carries traffic");
+        }
+    }
+}
+
 /// A trace-backed workload holding `ops`.
 fn traced(threads: u32, footprint_bytes: u64, ops: Vec<Op>) -> Traced {
     let trace = Arc::new(OpTrace::from_ops(ops));
