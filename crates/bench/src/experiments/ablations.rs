@@ -26,11 +26,7 @@ fn evaluate_with(
     mutate(&mut calibration);
     let predictor = camp_core::CampPredictor::new(calibration).with_transfer(transfer);
     let (mut predicted, mut actual) = (Vec::new(), Vec::new());
-    let suite = camp_workloads::suite();
-    ctx.prefetch_suite(PLATFORM, DEVICE, &suite);
-    for workload in suite {
-        let dram = ctx.run(PLATFORM, None, &workload);
-        let slow = ctx.run(PLATFORM, Some(DEVICE), &workload);
+    for (dram, slow) in ctx.endpoint_runs(PLATFORM, DEVICE, &camp_workloads::suite()) {
         let total = if saturation {
             predictor.predict_total_saturated(&dram)
         } else {

@@ -172,24 +172,9 @@ pub fn emr(ctx: &Context) -> Vec<Table> {
     let platform = Platform::Emr2s;
     let device = DeviceKind::CxlA;
     let predictor = ctx.predictor(platform, device);
-    let suite = camp_workloads::suite();
-    let sampled: Vec<(camp_sim::Platform, Option<DeviceKind>, &dyn camp_sim::Workload)> = suite
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % 3 == 0)
-        .flat_map(|(_, w)| {
-            let w: &dyn camp_sim::Workload = w.as_ref();
-            [(platform, None, w), (platform, Some(device), w)]
-        })
-        .collect();
-    ctx.prefetch_runs(&sampled);
+    let sampled: Vec<_> = camp_workloads::suite().into_iter().step_by(3).collect();
     let (mut predicted, mut actual) = (Vec::new(), Vec::new());
-    for (i, workload) in suite.iter().enumerate() {
-        if i % 3 != 0 {
-            continue;
-        }
-        let dram = ctx.run(platform, None, workload);
-        let slow = ctx.run(platform, Some(device), workload);
+    for (dram, slow) in ctx.endpoint_runs(platform, device, &sampled) {
         predicted.push(predictor.predict_total_saturated(&dram));
         actual.push(MeasuredComponents::attribute(&dram, &slow).total);
     }

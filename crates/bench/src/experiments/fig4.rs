@@ -34,10 +34,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
     );
     let mut proxy_errors: Vec<(f64, f64, f64)> = Vec::new(); // (C-based, lat-only, raw-stall)
     let suite = camp_workloads::suite();
-    ctx.prefetch_suite(PLATFORM, DEVICE, &suite);
-    for workload in suite {
-        let dram = ctx.run(PLATFORM, None, &workload);
-        let slow = ctx.run(PLATFORM, Some(DEVICE), &workload);
+    for (workload, (dram, slow)) in suite.iter().zip(ctx.endpoint_runs(PLATFORM, DEVICE, &suite)) {
         let sig_d = Signature::from_report(&dram);
         let sig_s = Signature::from_report(&slow);
         if sig_d.mlp <= 0.0 || sig_s.mlp <= 0.0 || sig_d.latency <= 0.0 {

@@ -26,10 +26,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         ],
     );
     let suite = camp_workloads::suite();
-    ctx.prefetch_suite(PLATFORM, DEVICE, &suite);
-    for workload in suite {
-        let dram = ctx.run(PLATFORM, None, &workload);
-        let slow = ctx.run(PLATFORM, Some(DEVICE), &workload);
+    for (workload, (dram, slow)) in suite.iter().zip(ctx.endpoint_runs(PLATFORM, DEVICE, &suite)) {
         let loads = dram.counters.get_f64(Event::DemandLoads);
         if loads <= 0.0 {
             continue;

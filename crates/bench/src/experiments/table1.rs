@@ -16,17 +16,17 @@ pub const DEVICE: DeviceKind = DeviceKind::Numa;
 pub fn collect(ctx: &Context) -> Vec<(String, Vec<f64>, f64, f64)> {
     let predictor = ctx.predictor(PLATFORM, DEVICE);
     let suite = camp_workloads::suite();
-    ctx.prefetch_suite(PLATFORM, DEVICE, &suite);
-    let mut rows = Vec::new();
-    for workload in suite {
-        let dram = ctx.run(PLATFORM, None, &workload);
-        let slow = ctx.run(PLATFORM, Some(DEVICE), &workload);
-        let metrics: Vec<f64> = BaselineMetric::ALL.iter().map(|m| m.value(&dram)).collect();
-        let camp = predictor.predict_total_saturated(&dram);
-        let actual = slow.slowdown_vs(&dram);
-        rows.push((workload.name().to_string(), metrics, camp, actual));
-    }
-    rows
+    let runs = ctx.endpoint_runs(PLATFORM, DEVICE, &suite);
+    suite
+        .iter()
+        .zip(runs)
+        .map(|(workload, (dram, slow))| {
+            let metrics: Vec<f64> = BaselineMetric::ALL.iter().map(|m| m.value(&dram)).collect();
+            let camp = predictor.predict_total_saturated(&dram);
+            let actual = slow.slowdown_vs(&dram);
+            (workload.name().to_string(), metrics, camp, actual)
+        })
+        .collect()
 }
 
 /// Runs Table 1.

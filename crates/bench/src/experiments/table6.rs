@@ -25,17 +25,17 @@ pub fn collect(
 ) -> Vec<(String, camp_core::SlowdownPrediction, f64, camp_core::MeasuredComponents)> {
     let predictor = ctx.predictor(platform, device);
     let suite = camp_workloads::suite();
-    ctx.prefetch_suite(platform, device, &suite);
-    let mut rows = Vec::new();
-    for workload in suite {
-        let dram = ctx.run(platform, None, &workload);
-        let slow = ctx.run(platform, Some(device), &workload);
-        let prediction = predictor.predict_report(&dram);
-        let total_saturated = predictor.predict_total_saturated(&dram);
-        let measured = camp_core::MeasuredComponents::attribute(&dram, &slow);
-        rows.push((workload.name().to_string(), prediction, total_saturated, measured));
-    }
-    rows
+    let runs = ctx.endpoint_runs(platform, device, &suite);
+    suite
+        .iter()
+        .zip(runs)
+        .map(|(workload, (dram, slow))| {
+            let prediction = predictor.predict_report(&dram);
+            let total_saturated = predictor.predict_total_saturated(&dram);
+            let measured = camp_core::MeasuredComponents::attribute(&dram, &slow);
+            (workload.name().to_string(), prediction, total_saturated, measured)
+        })
+        .collect()
 }
 
 /// Runs Table 6.

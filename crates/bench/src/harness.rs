@@ -6,9 +6,9 @@
 //! ratio sweeps; the [`Context`] memoises both in one table so `repro all`
 //! pays for each run once. The cache is thread-safe with
 //! single-flight semantics: experiments running on different threads (and
-//! [`Context::prefetch_runs`] fan-outs within an experiment) share one
-//! cache, and two threads requesting the same endpoint run never simulate
-//! it twice — the second blocks until the first finishes.
+//! the fan-outs within an experiment, such as [`Context::endpoint_runs`])
+//! share one cache, and two threads requesting the same run never
+//! simulate it twice — the second blocks until the first finishes.
 
 use camp_core::{Calibration, CampPredictor};
 use camp_obs::Recorder;
@@ -42,20 +42,21 @@ impl Default for Context {
 }
 
 impl Context {
-    /// Creates an empty context using every available core for prefetch
+    /// Creates an empty context using every available core for run
     /// fan-outs.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the number of worker threads [`Context::prefetch_runs`] uses
-    /// (`1` disables intra-experiment parallelism).
+    /// Sets the number of worker threads a fan-out of runs
+    /// ([`Context::endpoint_runs`], the calibration probes, the ratio
+    /// sweeps) uses (`1` disables intra-experiment parallelism).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
     }
 
-    /// The configured prefetch fan-out width.
+    /// The configured fan-out width.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -134,25 +135,23 @@ impl Context {
             // Route through the shared trace cache: the op stream is
             // generated once per workload, not once per run.
             let traced = self.traces.wrap(workload);
-            // `try_run` validates first; once validation passes no engine
-            // assertion can fire, so there is no panic to catch here.
-            match machine.try_run(&traced) {
-                Ok(report) => {
-                    span.attr("cycles", report.cycles);
-                    span.attr("instructions", report.instructions);
-                    span.attr("seconds", report.seconds);
-                    self.note_report_anomalies(&span_name, &report);
-                    report
-                }
-                Err(error) => {
-                    span.attr("ok", false);
-                    panic!(
-                        "run failed (platform {platform}, device {device_label}, \
-                         workload '{}'): invalid machine configuration: {error}",
-                        workload.name(),
-                    );
-                }
+            // `validate` is the complete precondition of a run: once it
+            // passes no engine assertion can fire, so there is no panic to
+            // catch here.
+            if let Err(error) = machine.validate(&traced) {
+                span.attr("ok", false);
+                panic!(
+                    "run failed (platform {platform}, device {device_label}, \
+                     workload '{}'): invalid machine configuration: {error}",
+                    workload.name(),
+                );
             }
+            let report = machine.run(&traced);
+            span.attr("cycles", report.cycles);
+            span.attr("instructions", report.instructions);
+            span.attr("seconds", report.seconds);
+            self.note_report_anomalies(&span_name, &report);
+            report
         })
     }
 
@@ -185,36 +184,27 @@ impl Context {
         &self.traces
     }
 
-    /// Simulates every listed endpoint run that is not already cached,
-    /// fanning out across [`Context::jobs`] worker threads. Experiments
-    /// call this up front with their full endpoint-run set so independent
-    /// runs overlap; the subsequent serial `run` calls all hit the cache.
-    pub fn prefetch_runs(&self, runs: &[(Platform, Option<DeviceKind>, &dyn Workload)]) {
-        par::par_map(self.jobs, runs, |&(platform, device, workload)| {
-            self.run(platform, device, workload);
-        });
-    }
-
-    /// Prefetches both endpoint runs (DRAM and `device`) of every workload
-    /// in `suite` on `platform` — the common preamble of the suite-scale
-    /// experiments.
-    pub fn prefetch_suite(
+    /// Both endpoint runs of every workload on `platform`, entirely on
+    /// DRAM and entirely on `device`, as `(dram, slow)` pairs in workload
+    /// order. The 2N runs fan out over [`Context::jobs`] worker threads
+    /// through the memo, so a run that is already cached (the DRAM half,
+    /// when another device on the same platform came first) is recalled,
+    /// not repeated.
+    pub fn endpoint_runs(
         &self,
         platform: Platform,
         device: DeviceKind,
-        suite: &[Box<dyn Workload>],
-    ) {
-        let runs: Vec<(Platform, Option<DeviceKind>, &dyn Workload)> = suite
+        workloads: &[Box<dyn Workload>],
+    ) -> Vec<(Arc<RunReport>, Arc<RunReport>)> {
+        let requests: Vec<(Option<DeviceKind>, &dyn Workload)> = workloads
             .iter()
-            .flat_map(|workload| {
-                let workload: &dyn Workload = workload.as_ref();
-                [
-                    (platform, None, workload),
-                    (platform, Some(device), workload),
-                ]
-            })
+            .flat_map(|workload| [(None, workload.as_ref()), (Some(device), workload.as_ref())])
             .collect();
-        self.prefetch_runs(&runs);
+        let mut runs = par::par_map(self.jobs, &requests, |&(device, workload)| {
+            self.run(platform, device, workload)
+        })
+        .into_iter();
+        std::iter::from_fn(|| Some((runs.next()?, runs.next()?))).collect()
     }
 
     /// The calibration for a (platform, device) pair: a pure fit over the
@@ -236,14 +226,7 @@ impl Context {
         device: DeviceKind,
         probes: &[Box<dyn Workload>],
     ) -> Calibration {
-        self.prefetch_suite(platform, device, probes);
-        let runs: Vec<_> = probes
-            .iter()
-            .map(|probe| {
-                let probe = probe.as_ref();
-                (self.run(platform, None, probe), self.run(platform, Some(device), probe))
-            })
-            .collect();
+        let runs = self.endpoint_runs(platform, device, probes);
         Calibration::from_probe_runs(platform, device, &runs).unwrap_or_else(|error| {
             panic!("calibration failed (platform {platform}, device {device}): {error}")
         })
@@ -396,21 +379,34 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_populates_the_cache() {
+    fn endpoint_runs_are_memoized_pairs_in_workload_order() {
         let ctx = Context::new().with_jobs(4);
-        let w1 = PointerChase::new("ctx-pf-1", 1, 1 << 14, 1, 5_000);
-        let w2 = PointerChase::new("ctx-pf-2", 1, 1 << 14, 2, 5_000);
-        ctx.prefetch_runs(&[
-            (Platform::Skx2s, None, &w1),
-            (Platform::Skx2s, None, &w2),
-            (Platform::Skx2s, Some(DeviceKind::CxlA), &w1),
-        ]);
-        assert_eq!(ctx.runs_executed(), 3);
-        // Subsequent serial calls are pure cache hits.
-        let a = ctx.run(Platform::Skx2s, None, &w1);
-        let b = ctx.run(Platform::Skx2s, None, &w1);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(ctx.runs_executed(), 3);
+        let workloads: Vec<Box<dyn Workload>> = vec![
+            Box::new(PointerChase::new("ctx-ep-1", 1, 1 << 14, 1, 5_000)),
+            Box::new(PointerChase::new("ctx-ep-2", 1, 1 << 14, 2, 5_000)),
+            Box::new(PointerChase::new("ctx-ep-3", 1, 1 << 14, 4, 5_000)),
+        ];
+        let (p, d) = (Platform::Skx2s, DeviceKind::CxlA);
+        let pairs = ctx.endpoint_runs(p, d, &workloads);
+        assert_eq!(ctx.runs_executed(), 6, "one DRAM and one slow run per workload");
+        assert_eq!(pairs.len(), workloads.len());
+        for (workload, (dram, slow)) in workloads.iter().zip(&pairs) {
+            assert_eq!(dram.workload, workload.name());
+            assert!(Arc::ptr_eq(dram, &ctx.run(p, None, workload.as_ref())));
+            assert!(Arc::ptr_eq(slow, &ctx.run(p, Some(d), workload.as_ref())));
+        }
+        // A second call recalls every pair.
+        let again = ctx.endpoint_runs(p, d, &workloads);
+        assert_eq!(ctx.runs_executed(), 6, "a second call executes nothing");
+        for ((a, b), (c, e)) in pairs.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, c) && Arc::ptr_eq(b, e));
+        }
+        // A second device on the same platform reuses the DRAM half.
+        let numa = ctx.endpoint_runs(p, DeviceKind::Numa, &workloads);
+        assert_eq!(ctx.runs_executed(), 9, "only the N slow runs are new");
+        for ((dram, _), (numa_dram, _)) in pairs.iter().zip(&numa) {
+            assert!(Arc::ptr_eq(dram, numa_dram));
+        }
     }
 
     #[test]

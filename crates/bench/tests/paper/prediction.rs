@@ -18,22 +18,6 @@ fn sample() -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-/// (DRAM, slow) endpoint runs of the whole sample, prefetched in parallel
-/// through the shared context.
-fn endpoint_runs(platform: Platform, device: DeviceKind) -> Vec<(Arc<RunReport>, Arc<RunReport>)> {
-    let sample = sample();
-    ctx().prefetch_suite(platform, device, &sample);
-    sample
-        .iter()
-        .map(|w| {
-            (
-                ctx().run(platform, None, w.as_ref()),
-                ctx().run(platform, Some(device), w.as_ref()),
-            )
-        })
-        .collect()
-}
-
 /// What the sample scores today, per gated config: `(Pearson, share of
 /// workloads predicted within 10 points)`. The floors below only catch a
 /// collapse; these pins make any model or engine edit that moves the
@@ -69,7 +53,10 @@ fn evaluate(runs: &[(Arc<RunReport>, Arc<RunReport>)], predictor: &CampPredictor
 #[test]
 fn cxl_a_prediction_correlates_strongly() {
     let (platform, device) = (Platform::Spr2s, DeviceKind::CxlA);
-    let eval = evaluate(&endpoint_runs(platform, device), &ctx().predictor(platform, device));
+    let eval = evaluate(
+        &ctx().endpoint_runs(platform, device, &sample()),
+        &ctx().predictor(platform, device),
+    );
     let pearson = stats::pearson(&eval.predicted, &eval.actual).expect("variance present");
     assert!(pearson > 0.9, "CXL-A pearson {pearson}");
     let errors =
@@ -84,7 +71,10 @@ fn cxl_a_prediction_correlates_strongly() {
 #[test]
 fn numa_prediction_correlates_strongly() {
     let (platform, device) = (Platform::Skx2s, DeviceKind::Numa);
-    let eval = evaluate(&endpoint_runs(platform, device), &ctx().predictor(platform, device));
+    let eval = evaluate(
+        &ctx().endpoint_runs(platform, device, &sample()),
+        &ctx().predictor(platform, device),
+    );
     let pearson = stats::pearson(&eval.predicted, &eval.actual).expect("variance present");
     // The gate is looser than CXL-A's: NUMA's smaller latency gap leaves
     // prefetch-coverage cliffs (streams with no DRAM-visible cache stalls
@@ -104,7 +94,7 @@ fn camp_outperforms_every_baseline_metric() {
     let predictor = ctx().predictor(platform, device);
     let mut metric_values: Vec<Vec<f64>> = vec![Vec::new(); BaselineMetric::ALL.len()];
     let (mut camp_values, mut actual) = (Vec::new(), Vec::new());
-    for (dram, slow) in endpoint_runs(platform, device) {
+    for (dram, slow) in ctx().endpoint_runs(platform, device, &sample()) {
         for (i, metric) in BaselineMetric::ALL.iter().enumerate() {
             metric_values[i].push(metric.value(&dram));
         }
@@ -123,7 +113,7 @@ fn suite_spans_the_slowdown_spectrum() {
     // Every 16th suite workload (every other one of the sample) must show
     // both tolerant and sensitive workloads on CXL-A — the diversity
     // Table 1's correlations rely on.
-    let runs = endpoint_runs(Platform::Spr2s, DeviceKind::CxlA);
+    let runs = ctx().endpoint_runs(Platform::Spr2s, DeviceKind::CxlA, &sample());
     let slowdowns: Vec<f64> = runs.iter().step_by(2).map(|(d, s)| s.slowdown_vs(d)).collect();
     let min = slowdowns.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = slowdowns.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -158,7 +148,7 @@ fn predictions_are_finite_for_every_suite_workload() {
         ],
     );
     let predictor = CampPredictor::new(calibration);
-    for (report, _) in endpoint_runs(Platform::Spr2s, DeviceKind::CxlA) {
+    for (report, _) in ctx().endpoint_runs(Platform::Spr2s, DeviceKind::CxlA, &sample()) {
         let prediction = predictor.predict_report(&report);
         assert!(
             prediction.total().is_finite() && prediction.total() >= 0.0,

@@ -60,21 +60,24 @@ fn parallel_context_matches_serial_and_runs_each_key_once() {
 }
 
 #[test]
-fn prefetch_then_serial_reads_are_pure_cache_hits() {
+fn parallel_endpoint_runs_match_serial_runs_and_run_each_key_once() {
     let workloads = fleet();
+    let (platform, device) = (Platform::Skx2s, DeviceKind::Numa);
+    let serial = Context::new().with_jobs(1);
     let ctx = Context::new().with_jobs(4);
-    let runs: Vec<(Platform, Option<DeviceKind>, &dyn Workload)> = workloads
-        .iter()
-        .map(|w| (Platform::Skx2s, Some(DeviceKind::Numa), w.as_ref() as &dyn Workload))
-        .collect();
-    ctx.prefetch_runs(&runs);
-    assert_eq!(ctx.runs_executed(), workloads.len());
-    for workload in &workloads {
-        let a = ctx.run(Platform::Skx2s, Some(DeviceKind::Numa), workload);
-        let b = ctx.run(Platform::Skx2s, Some(DeviceKind::Numa), workload);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
+    let pairs = ctx.endpoint_runs(platform, device, &workloads);
+    assert_eq!(ctx.runs_executed(), 2 * workloads.len());
+    // In workload order, and bit-identical to runs made one at a time.
+    for (workload, (dram, slow)) in workloads.iter().zip(&pairs) {
+        for (report, reference) in [
+            (dram, serial.run(platform, None, workload)),
+            (slow, serial.run(platform, Some(device), workload)),
+        ] {
+            assert_eq!(report.workload, workload.name());
+            assert_eq!(report.cycles.to_bits(), reference.cycles.to_bits());
+            assert_eq!(report.counters, reference.counters, "counters for {}", report.workload);
+        }
     }
-    assert_eq!(ctx.runs_executed(), workloads.len(), "no re-simulation after prefetch");
 }
 
 #[test]

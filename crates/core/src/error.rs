@@ -44,8 +44,8 @@ pub enum ModelError {
         /// The offending cycle count.
         value: f64,
     },
-    /// An explicitly supplied tier endpoint is inverted (full-load latency
-    /// below unloaded latency) or non-finite.
+    /// A tier endpoint taken from a run is unusable: its idle latency is
+    /// negative or non-finite, or its full-load latency is non-finite.
     InvalidEndpoint {
         /// Unloaded latency in cycles.
         idle: f64,

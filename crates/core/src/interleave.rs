@@ -117,26 +117,6 @@ impl TierEndpoint {
         }
     }
 
-    /// Validating constructor: rejects non-finite latencies, negative
-    /// idle latency, and inverted endpoints (full-load latency below the
-    /// unloaded latency — [`TierEndpoint::latency`] would silently clamp
-    /// the contention term to zero, hiding a measurement or configuration
-    /// bug).
-    pub fn try_new(
-        idle_latency: f64,
-        full_latency: f64,
-        stalls: ComponentStalls,
-    ) -> Result<Self, ModelError> {
-        if !idle_latency.is_finite()
-            || !full_latency.is_finite()
-            || idle_latency < 0.0
-            || full_latency < idle_latency
-        {
-            return Err(ModelError::InvalidEndpoint { idle: idle_latency, full: full_latency });
-        }
-        Ok(TierEndpoint::new(idle_latency, full_latency, stalls))
-    }
-
     fn exponent(&self) -> f64 {
         match self.curve {
             LatencyCurve::Quadratic => 2.0,
@@ -285,7 +265,9 @@ impl InterleaveModel {
     /// Builds the model from two endpoint runs (the bandwidth-bound
     /// workflow of Figure 12), rejecting degenerate inputs with a typed
     /// error: a `slow` run with no slow tier ([`ModelError::MissingSlowTier`])
-    /// or signatures carrying NaN/∞ ([`ModelError::NonFiniteSignature`]).
+    /// or signatures carrying NaN/∞ ([`ModelError::NonFiniteSignature`]),
+    /// and a tier whose idle latency is negative or non-finite, or whose
+    /// loaded latency is non-finite ([`ModelError::InvalidEndpoint`]).
     /// Measured loaded latencies marginally below idle (per-request jitter)
     /// are clamped to the idle latency.
     pub fn try_from_endpoint_runs(dram: &RunReport, slow: &RunReport) -> Result<Self, ModelError> {
@@ -297,7 +279,11 @@ impl InterleaveModel {
         sig_d.check(&dram.workload)?;
         sig_s.check(&slow.workload)?;
         let endpoint = |idle: f64, loaded: Option<f64>, stalls: ComponentStalls| {
-            TierEndpoint::try_new(idle, loaded.unwrap_or(idle).max(idle), stalls)
+            let full = loaded.unwrap_or(idle).max(idle);
+            if !idle.is_finite() || idle < 0.0 || !full.is_finite() {
+                return Err(ModelError::InvalidEndpoint { idle, full });
+            }
+            Ok(TierEndpoint::new(idle, full, stalls))
         };
         Ok(InterleaveModel {
             dram: endpoint(
@@ -340,51 +326,35 @@ impl InterleaveModel {
         label: &str,
     ) -> Result<Self, ModelError> {
         sig.check(label)?;
-        let calib = predictor.calibration();
-        let prediction = predictor.predict_signature(sig);
-        let c = sig.cycles;
-        Ok(InterleaveModel {
-            dram: TierEndpoint::new(
-                calib.dram_idle_latency,
-                calib.dram_idle_latency,
-                ComponentStalls::from_signature(sig),
-            ),
-            slow: TierEndpoint::new(
-                calib.slow_idle_latency,
-                calib.slow_idle_latency,
-                ComponentStalls {
-                    llc: sig.s_llc + prediction.drd * c,
-                    cache: sig.s_cache + prediction.cache * c,
-                    sb: sig.s_sb + prediction.store * c,
-                },
-            ),
-            baseline_cycles: c,
-            boundness: Boundness::LatencyBound,
-            profiling_runs: 1,
-        })
+        let dram_idle = predictor.calibration().dram_idle_latency;
+        Ok(Self::one_run(sig, dram_idle, sig.cycles, predictor))
     }
 
     /// Builds the model from a single DRAM run (the latency-bound workflow
     /// of Figure 12): the slow endpoint's stalls are synthesized from the
     /// §4 predictor, and per-tier latency is taken as unloaded.
     pub fn from_dram_run(dram: &RunReport, predictor: &CampPredictor) -> Self {
-        let sig_d = Signature::from_report(dram);
-        let prediction = predictor.predict_report(dram);
-        let c = dram.cycles;
+        let sig = Signature::from_report(dram);
+        Self::one_run(&sig, dram.fast_tier.idle_latency_cycles, dram.cycles, predictor)
+    }
+
+    /// The one-run model behind [`InterleaveModel::from_dram_run`] and
+    /// [`InterleaveModel::try_from_signature`]: the DRAM tier unloaded at
+    /// `dram_idle` with the signature's stalls, the slow tier unloaded at
+    /// the calibration's idle latency with stalls synthesized from the §4
+    /// predictor, and `c` the normalisation of Eq. 10.
+    fn one_run(sig: &Signature, dram_idle: f64, c: f64, predictor: &CampPredictor) -> Self {
+        let prediction = predictor.predict_signature(sig);
         let slow_idle = predictor.calibration().slow_idle_latency;
         InterleaveModel {
-            dram: TierEndpoint::new(
-                dram.fast_tier.idle_latency_cycles,
-                dram.fast_tier.idle_latency_cycles,
-                ComponentStalls::from_signature(&sig_d),
-            ),
+            dram: TierEndpoint::new(dram_idle, dram_idle, ComponentStalls::from_signature(sig)),
             slow: TierEndpoint::new(
                 slow_idle,
                 slow_idle,
                 ComponentStalls {
-                    llc: sig_d.s_llc + prediction.drd * c,
-                    cache: sig_d.s_cache + prediction.cache * c,
-                    sb: sig_d.s_sb + prediction.store * c,
+                    llc: sig.s_llc + prediction.drd * c,
+                    cache: sig.s_cache + prediction.cache * c,
+                    sb: sig.s_sb + prediction.store * c,
                 },
             ),
             baseline_cycles: c,
@@ -709,15 +679,34 @@ mod tests {
 
     #[test]
     fn inverted_or_non_finite_endpoints_are_rejected() {
-        let stalls = ComponentStalls::default();
-        assert!(matches!(
-            TierEndpoint::try_new(400.0, 200.0, stalls),
-            Err(ModelError::InvalidEndpoint { idle: 400.0, full: 200.0 })
-        ));
-        assert!(TierEndpoint::try_new(f64::NAN, 200.0, stalls).is_err());
-        assert!(TierEndpoint::try_new(200.0, f64::INFINITY, stalls).is_err());
-        assert!(TierEndpoint::try_new(-1.0, 200.0, stalls).is_err());
-        assert!(TierEndpoint::try_new(200.0, 200.0, stalls).is_ok());
+        // A loaded latency below idle (jitter) clamps to idle.
+        let dram = synthetic_report(10, 10.0 * 250.0);
+        let mut slow = synthetic_report(10, 10.0 * 400.0);
+        slow.slow_tier = Some(camp_sim::report::TierReport {
+            device: DeviceKind::CxlA,
+            stats: slow.fast_tier.stats,
+            idle_latency_cycles: 449.4,
+        });
+        let model = InterleaveModel::try_from_endpoint_runs(&dram, &slow).expect("valid runs");
+        assert_eq!(model.slow.idle_latency, 449.4);
+        assert_eq!(model.slow.full_latency, 449.4, "loaded below idle clamps to idle");
+        assert_eq!(model.dram.full_latency, 250.0);
+        // NaN or negative idle latency, or an infinite loaded latency, is
+        // an invalid endpoint on either tier.
+        let mut nan_idle = dram.clone();
+        nan_idle.fast_tier.idle_latency_cycles = f64::NAN;
+        let mut negative_idle = slow.clone();
+        negative_idle.slow_tier.as_mut().unwrap().idle_latency_cycles = -1.0;
+        let mut infinite_loaded = slow.clone();
+        infinite_loaded.slow_tier.as_mut().unwrap().stats.total_read_latency = f64::INFINITY;
+        for (dram, slow, what) in [
+            (&nan_idle, &slow, "NaN idle"),
+            (&dram, &negative_idle, "negative idle"),
+            (&dram, &infinite_loaded, "infinite loaded"),
+        ] {
+            let error = InterleaveModel::try_from_endpoint_runs(dram, slow).unwrap_err();
+            assert!(matches!(error, ModelError::InvalidEndpoint { .. }), "{what}: {error}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Both config types expose a `validate()` returning a typed
 //! [`SimError`] so invalid parameter combinations
 //! (non-positive bandwidths, zero-capacity caches, zero-entry buffers) are
-//! rejected at the [`Machine::try_run`](crate::engine::Machine::try_run)
-//! boundary instead of panicking deep inside the engine.
+//! rejected by [`Machine::validate`](crate::engine::Machine::validate)
+//! before a run instead of panicking deep inside the engine.
 
 use crate::error::SimError;
 

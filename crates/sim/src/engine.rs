@@ -151,9 +151,10 @@ impl Machine {
 
     /// Validates the machine configuration against `workload` without
     /// running anything: platform/device parameters, placement vs slow
-    /// device, background utilisations, and the workload footprint. This
-    /// is the complete precondition of [`Machine::try_run`]; when it
-    /// passes, no assertion inside the engine can fire.
+    /// device, background utilisations, the workload footprint and the
+    /// epoch period. This is the typed-error API of the simulator and the
+    /// complete precondition of [`Machine::run`]: when it passes, no
+    /// assertion inside the engine can fire.
     pub fn validate(&self, workload: &dyn Workload) -> Result<(), SimError> {
         self.platform.validate()?;
         if let Some(kind) = self.slow_kind {
@@ -179,15 +180,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Runs a workload to completion and reports counters and statistics,
-    /// rejecting invalid configurations with a typed [`SimError`] instead
-    /// of panicking. See [`Machine::validate`] for the checks performed.
-    pub fn try_run(&self, workload: &dyn Workload) -> Result<RunReport, SimError> {
-        self.validate(workload)?;
-        let trace = workload.trace();
-        Ok(self.run_trace_unchecked(workload, &trace))
-    }
-
     /// Runs a workload to completion and reports counters and statistics.
     ///
     /// Hot-path buffers (cache slots, fill slab, prefetch candidate lists,
@@ -198,9 +190,10 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics on any configuration [`Machine::try_run`] would reject —
-    /// most commonly a placement that routes pages to a slow tier with no
-    /// slow device configured.
+    /// Panics on any configuration [`Machine::validate`] rejects — most
+    /// commonly a placement that routes pages to a slow tier with no slow
+    /// device configured. Callers that want the typed [`SimError`] call
+    /// `validate` first.
     pub fn run(&self, workload: &dyn Workload) -> RunReport {
         let trace = workload.trace();
         self.run_trace(workload, &trace)
@@ -213,7 +206,7 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics on any configuration [`Machine::try_run`] would reject.
+    /// Panics on any configuration [`Machine::validate`] rejects.
     pub fn run_trace(&self, workload: &dyn Workload, trace: &OpTrace) -> RunReport {
         if let Err(error) = self.validate(workload) {
             panic!("invalid machine configuration: {error}");
@@ -1139,31 +1132,21 @@ mod tests {
                 Box::new(std::iter::empty())
             }
         }
-        let error = dram(Platform::Spr2s).try_run(&Empty).unwrap_err();
+        let error = dram(Platform::Spr2s).validate(&Empty).unwrap_err();
         assert_eq!(error, SimError::EmptyFootprint { workload: "empty".into() });
         assert!(error.to_string().contains("'empty'"));
     }
 
     #[test]
-    fn try_run_rejects_what_run_panics_on() {
+    fn validate_rejects_what_run_panics_on() {
         let m = Machine::dram_only(Platform::Spr2s).with_placement(Placement::SlowOnly);
         let w = Memset { bytes: 64 };
-        assert_eq!(m.try_run(&w).unwrap_err(), SimError::MissingSlowDevice);
+        assert_eq!(m.validate(&w).unwrap_err(), SimError::MissingSlowDevice);
         let m = Machine::dram_only(Platform::Spr2s).with_background(1.5, 0.0);
         assert!(matches!(
-            m.try_run(&w).unwrap_err(),
+            m.validate(&w).unwrap_err(),
             SimError::InvalidBackgroundUtilisation { tier: "fast", .. }
         ));
-    }
-
-    #[test]
-    fn try_run_matches_run_on_valid_configs() {
-        let w = Gups { lines: 1 << 12, count: 10_000 };
-        let m = Machine::slow_only(Platform::Spr2s, DeviceKind::CxlA);
-        let checked = m.try_run(&w).expect("valid config");
-        let unchecked = m.run(&w);
-        assert_eq!(checked.cycles, unchecked.cycles);
-        assert_eq!(checked.counters, unchecked.counters);
     }
 
     #[test]

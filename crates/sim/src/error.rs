@@ -1,14 +1,15 @@
 //! Typed simulator errors.
 //!
 //! Every invalid machine/device/workload configuration is representable as
-//! a [`SimError`] and is rejected at the [`Machine::try_run`] boundary
-//! before any simulation state is built, so the panicking internals
-//! (`Device::new` asserts, placement checks) are unreachable through the
-//! fallible entry points. The legacy panicking APIs ([`Machine::run`])
-//! remain as thin wrappers for call sites that treat bad configuration as
-//! a programming error.
+//! a [`SimError`] and is reported by [`Machine::validate`] before any
+//! simulation state is built. Validation is the complete precondition of
+//! a run, so the engine's internal asserts (`Device::new`, placement
+//! checks) are unreachable once it passes. [`Machine::run`] validates
+//! first and panics with the error's message, for call sites that treat
+//! bad configuration as a programming error; callers that want the typed
+//! error call `validate` themselves.
 //!
-//! [`Machine::try_run`]: crate::engine::Machine::try_run
+//! [`Machine::validate`]: crate::engine::Machine::validate
 //! [`Machine::run`]: crate::engine::Machine::run
 
 use crate::config::DeviceKind;

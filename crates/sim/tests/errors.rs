@@ -1,8 +1,8 @@
 //! Table-driven coverage of the typed configuration-error boundary: every
 //! invalid machine/device/platform combination must be rejected by
-//! [`Machine::try_run`] with the expected [`SimError`] variant — before
+//! [`Machine::validate`] with the expected [`SimError`] variant — before
 //! any simulation state is built — and the same configurations must panic
-//! (with the error's message) through the legacy [`Machine::run`] wrapper.
+//! (with the error's message) through [`Machine::run`].
 
 use camp_sim::{DeviceKind, Machine, Op, Placement, Platform, SimError, Workload};
 
@@ -148,11 +148,11 @@ fn every_invalid_configuration_is_rejected_with_its_typed_error() {
         ),
     ];
     for (label, machine, expected) in cases {
-        let error = machine.try_run(&Probe).expect_err(label);
+        let error = machine.validate(&Probe).expect_err(label);
         assert_eq!(error, expected, "{label}");
         assert!(!error.to_string().is_empty(), "{label} renders a message");
-        // The same rejection must reach callers of the panicking wrapper
-        // as a panic carrying the typed error's message.
+        // The same rejection must reach callers of `run` as a panic
+        // carrying the typed error's message.
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             machine.run(&Probe);
         }))
@@ -171,15 +171,15 @@ fn every_invalid_configuration_is_rejected_with_its_typed_error() {
 #[test]
 fn non_finite_device_figures_are_rejected() {
     // NaN payloads cannot be compared with assert_eq; match structurally.
-    let error = doctored(|c| c.dram.read_bw = f64::NAN).try_run(&Probe).unwrap_err();
+    let error = doctored(|c| c.dram.read_bw = f64::NAN).validate(&Probe).unwrap_err();
     assert!(
         matches!(error, SimError::InvalidBandwidth { what: "read_bw", value, .. } if value.is_nan())
     );
-    let error = doctored(|c| c.freq_ghz = f64::INFINITY).try_run(&Probe).unwrap_err();
+    let error = doctored(|c| c.freq_ghz = f64::INFINITY).validate(&Probe).unwrap_err();
     assert!(matches!(error, SimError::InvalidFrequency { value } if value.is_infinite()));
     let error = Machine::dram_only(Platform::Spr2s)
         .with_background(f64::NAN, 0.0)
-        .try_run(&Probe);
+        .validate(&Probe);
     assert!(matches!(
         error.unwrap_err(),
         SimError::InvalidBackgroundUtilisation { tier: "fast", value } if value.is_nan()
@@ -189,7 +189,7 @@ fn non_finite_device_figures_are_rejected() {
 #[test]
 fn zero_footprint_workload_is_rejected_on_every_preset() {
     for platform in Platform::ALL {
-        let error = Machine::dram_only(platform).try_run(&Empty).unwrap_err();
+        let error = Machine::dram_only(platform).validate(&Empty).unwrap_err();
         assert_eq!(error, SimError::EmptyFootprint { workload: "errors.empty".into() });
     }
 }
@@ -197,10 +197,14 @@ fn zero_footprint_workload_is_rejected_on_every_preset() {
 #[test]
 fn valid_configurations_still_run() {
     for platform in Platform::ALL {
-        assert!(Machine::dram_only(platform).try_run(&Probe).is_ok());
+        assert_eq!(Machine::dram_only(platform).run(&Probe).workload, "errors.probe");
         for kind in DeviceKind::SLOW_TIERS {
-            assert!(Machine::slow_only(platform, kind).try_run(&Probe).is_ok());
-            assert!(Machine::interleaved(platform, kind, 0.5).try_run(&Probe).is_ok());
+            for machine in [
+                Machine::slow_only(platform, kind),
+                Machine::interleaved(platform, kind, 0.5),
+            ] {
+                assert!(machine.run(&Probe).slow_tier.is_some());
+            }
         }
     }
 }

@@ -166,7 +166,7 @@ fn disabled_tape_is_byte_identical_and_enabled_tape_does_not_perturb() {
 #[test]
 fn zero_epoch_period_is_a_typed_error() {
     let w = Gups { lines: 1 << 10, count: 100 };
-    let error = Machine::dram_only(Platform::Spr2s).with_epochs(0).try_run(&w).unwrap_err();
+    let error = Machine::dram_only(Platform::Spr2s).with_epochs(0).validate(&w).unwrap_err();
     assert_eq!(error, SimError::InvalidSamplingPeriod);
     assert!(error.to_string().contains("epoch sampling period"));
 }
