@@ -2,9 +2,9 @@
 //!
 //! The container has no registry access, so instead of criterion the
 //! benches use this std-only timer: N timed samples of a closure, median /
-//! mean / min in ns per iteration, optional elements-per-second
-//! throughput, and a hand-rolled JSON dump for archived snapshots
-//! (`BENCH_harness.json`).
+//! mean / min and the median absolute deviation (MAD) in ns per
+//! iteration, optional elements-per-second throughput, and a hand-rolled
+//! JSON dump for archived snapshots (`BENCH_harness.json`).
 
 // Shared by several bench targets; each uses a subset of the API.
 #![allow(dead_code)]
@@ -23,9 +23,14 @@ pub struct Measurement {
 
 impl Measurement {
     pub fn median_secs(&self) -> f64 {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-        sorted[sorted.len() / 2]
+        median(self.samples.clone())
+    }
+
+    /// The median absolute deviation from [`Measurement::median_secs`]:
+    /// the spread of the samples, robust to the odd slow one.
+    pub fn mad_secs(&self) -> f64 {
+        let median_secs = self.median_secs();
+        median(self.samples.iter().map(|s| (s - median_secs).abs()).collect())
     }
 
     pub fn min_secs(&self) -> f64 {
@@ -35,6 +40,12 @@ impl Measurement {
     pub fn mean_secs(&self) -> f64 {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
+}
+
+/// The upper median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
+    values[values.len() / 2]
 }
 
 /// Collects measurements and renders the report.
@@ -95,10 +106,11 @@ impl Harness {
             .map(|n| format!("  {:>10.0} elem/s", n as f64 / per_iter))
             .unwrap_or_default();
         println!(
-            "{:40} {:>12.1} ns/iter (min {:>12.1}){}",
+            "{:40} {:>12.1} ns/iter (min {:>12.1}, mad {:>10.1}){}",
             m.name,
             per_iter * 1e9,
             m.min_secs() * 1e9,
+            m.mad_secs() * 1e9,
             throughput
         );
         self.measurements.push(m);
@@ -116,11 +128,12 @@ impl Harness {
             let comma = if i + 1 < self.measurements.len() { "," } else { "" };
             let elements = m.elements.map(|n| n.to_string()).unwrap_or_else(|| "null".into());
             out.push_str(&format!(
-                "  \"{}\": {{\"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"elements\": {}}}{}\n",
+                "  \"{}\": {{\"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"mad_ns\": {:.1}, \"elements\": {}}}{}\n",
                 m.name,
                 m.median_secs() * 1e9,
                 m.mean_secs() * 1e9,
                 m.min_secs() * 1e9,
+                m.mad_secs() * 1e9,
                 elements,
                 comma
             ));

@@ -195,6 +195,28 @@ impl TierCurve {
         }
         x_prime * self.latency(x_prime) / self.full
     }
+
+    /// [`TierCurve::load_scale`] at `share(i)` into every `out[i]`, one
+    /// loop per kind of tier. Every share must lie in `[+0, 1]`, where a
+    /// flat tier's latency is `L_idle + contention` at every point: its
+    /// loop and the identity's hold no branch and no `powf`, so they
+    /// vectorize; a contended tier keeps `powf` per point.
+    fn load_scales(&self, share: impl Fn(usize) -> f64, out: &mut [f64]) {
+        if self.identity {
+            for (i, m) in out.iter_mut().enumerate() {
+                *m = share(i);
+            }
+        } else if self.flat {
+            let latency = self.idle + self.contention;
+            for (i, m) in out.iter_mut().enumerate() {
+                *m = share(i) * latency / self.full;
+            }
+        } else {
+            for (i, m) in out.iter_mut().enumerate() {
+                *m = self.load_scale(share(i));
+            }
+        }
+    }
 }
 
 /// A model's Eq. 10 evaluator: both tiers' constants plus the endpoint
@@ -234,7 +256,43 @@ impl ModelCurve {
     fn total(&self, x: f64) -> f64 {
         self.components(x).total()
     }
+
+    /// [`ModelCurve::total`] at every ratio `x_i = ratio(i)` of a grid,
+    /// evaluated as arrays: each tier's load scales over the whole grid,
+    /// then Eq. 10 per point. `totals` and `m_slow` hold one entry per
+    /// point; `m_slow` is scratch. Every `ratio(i)` must lie in `[+0, 1]`;
+    /// every point is then the bits of `total(x_i)`.
+    fn grid_totals(&self, ratio: impl Fn(usize) -> f64, totals: &mut [f64], m_slow: &mut [f64]) {
+        // 1 − x_i lies in [+0, 1] too (1 − 1 is +0).
+        self.dram.load_scales(&ratio, totals);
+        self.slow.load_scales(|i| 1.0 - ratio(i), m_slow);
+        let (dram, slow, c) = (&self.dram_stalls, &self.slow_stalls, self.c);
+        for (total, &m_slow) in totals.iter_mut().zip(m_slow.iter()) {
+            let m_fast = *total;
+            let combine =
+                |s_dram: f64, s_slow: f64| (m_fast * s_dram + m_slow * s_slow - s_dram) / c;
+            *total = SlowdownPrediction {
+                drd: combine(dram.llc, slow.llc),
+                cache: combine(dram.cache, slow.cache),
+                store: combine(dram.sb, slow.sb),
+            }
+            .total();
+        }
+    }
 }
+
+/// Best-shot's grid, `BEST_SHOT_RATIOS[i] = i / 100`: constant evaluation
+/// rounds as IEEE 754 does, so each entry is the bits of the division at
+/// run time, without a divide per point per call.
+const BEST_SHOT_RATIOS: [f64; 101] = {
+    let mut ratios = [0.0; 101];
+    let mut i = 0;
+    while i < ratios.len() {
+        ratios[i] = i as f64 / 100.0;
+        i += 1;
+    }
+    ratios
+};
 
 /// The synthesized interleaving performance model for one workload on one
 /// (platform, slow device) pair.
@@ -402,14 +460,17 @@ impl InterleaveModel {
 
     /// Synthesizes the full performance curve at `steps + 1` evenly spaced
     /// ratios from 0 to 1 (the paper sweeps 101).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is 0.
     pub fn curve(&self, steps: usize) -> Vec<(f64, f64)> {
-        let curve = ModelCurve::new(self);
-        (0..=steps)
-            .map(|i| {
-                let x = i as f64 / steps as f64;
-                (x, curve.total(x))
-            })
-            .collect()
+        // 0 steps would make the one ratio 0/0.
+        assert!(steps > 0, "ratio must be in [0,1]");
+        let ratio = |i: usize| i as f64 / steps as f64;
+        let mut totals = vec![0.0; steps + 1];
+        ModelCurve::new(self).grid_totals(ratio, &mut totals, &mut vec![0.0; steps + 1]);
+        totals.into_iter().enumerate().map(|(i, total)| (ratio(i), total)).collect()
     }
 }
 
@@ -434,23 +495,31 @@ pub struct BestShot {
 /// minima the lowest ratio wins, a curve that never dips below its
 /// DRAM-only value keeps ratio 1.0, and so does a NaN at ratio 1.0.
 ///
-/// The model's constants are derived once per call, not per point. On a
-/// tier without contention (`L_full ≤ L_idle`, as on every model from
-/// [`InterleaveModel::try_from_signature`]) the search skips Eq. 8's
-/// `powf`: there `contention · x'^α` is a zero of `contention`'s own sign
-/// for every share `x' ∈ [+0, 1]`, so the result is bit-identical to
-/// evaluating the full formula.
+/// The model's constants are derived once per call, and the 101-point
+/// grid is evaluated as arrays on the stack (no state outlives the call):
+/// each tier's Eq. 9 load scale over every grid share in one loop, then
+/// Eq. 10 per point, then the search over the totals; the ratios `i / 100`
+/// themselves are constants. On a tier without contention (`L_full ≤
+/// L_idle`, as on every model from [`InterleaveModel::try_from_signature`])
+/// Eq. 8's `powf` is skipped: there `contention · x'^α` is a zero of
+/// `contention`'s own sign for every share `x' ∈ [+0, 1]`, so such a
+/// tier's loop is a branch-free divide that the compiler vectorizes. Every
+/// point keeps the operations and their order of the one-point
+/// [`InterleaveModel::predict_total`], so the result is bit-identical to
+/// evaluating the full formula point by point.
 pub fn best_shot(model: &InterleaveModel) -> BestShot {
-    let curve = ModelCurve::new(model);
-    let mut best = BestShot { ratio: 1.0, predicted_slowdown: curve.total(1.0) };
-    for i in 0..100 {
-        let x = i as f64 / 100.0;
-        let s = curve.total(x);
-        if s < best.predicted_slowdown {
-            best = BestShot { ratio: x, predicted_slowdown: s };
+    let mut totals = [0.0; 101];
+    ModelCurve::new(model).grid_totals(|i| BEST_SHOT_RATIOS[i], &mut totals, &mut [0.0; 101]);
+    let mut best = 100;
+    for (i, &s) in totals[..100].iter().enumerate() {
+        if s < totals[best] {
+            best = i;
         }
     }
-    best
+    BestShot {
+        ratio: BEST_SHOT_RATIOS[best],
+        predicted_slowdown: totals[best],
+    }
 }
 
 #[cfg(test)]
@@ -739,6 +808,99 @@ mod tests {
         broken.r_mem = f64::INFINITY;
         let error = InterleaveModel::try_from_signature(&broken, &predictor, "wire").unwrap_err();
         assert!(error.to_string().contains("'wire'"), "{error}");
+    }
+
+    /// Best-shot as it read before the grid was evaluated as arrays: one
+    /// [`ModelCurve::total`] per ratio. Kept verbatim as the reference.
+    fn point_by_point_best_shot(model: &InterleaveModel) -> BestShot {
+        let curve = ModelCurve::new(model);
+        let mut best = BestShot { ratio: 1.0, predicted_slowdown: curve.total(1.0) };
+        for i in 0..100 {
+            let x = i as f64 / 100.0;
+            let s = curve.total(x);
+            if s < best.predicted_slowdown {
+                best = BestShot { ratio: x, predicted_slowdown: s };
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn grid_best_shot_matches_the_point_by_point_search_bit_for_bit() {
+        use camp_workloads::rng::SplitMix;
+        // Any NaN matches any NaN: Rust leaves a NaN result's sign and
+        // payload unspecified.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = SplitMix::new(0x6e1d);
+        let curves = [
+            LatencyCurve::Adaptive,
+            LatencyCurve::Quadratic,
+            LatencyCurve::Linear,
+            LatencyCurve::Cubic,
+        ];
+        let tier = |rng: &mut SplitMix| {
+            let idle = 50.0 + rng.unit() * 1_000.0;
+            let (idle, full) = match rng.below(5) {
+                // Flat: the serving path's unloaded tiers.
+                0 => (idle, idle),
+                // Contended.
+                1 => (idle, idle + rng.unit() * 3_000.0),
+                // Identity: `L_full ≤ 0`.
+                2 => (idle, -rng.unit() * 100.0),
+                // NaN exponent: an adaptive curve over a NaN idle latency.
+                3 => (f64::NAN, idle),
+                // Loaded below idle: flat after the clamp.
+                _ => (idle, idle - rng.unit() * 50.0),
+            };
+            // Stalls of either sign, negative ones included.
+            let mut stall = || (rng.unit() - 0.25) * 1e7;
+            let stalls = ComponentStalls { llc: stall(), cache: stall(), sb: stall() };
+            let curve = curves[rng.below(4) as usize];
+            TierEndpoint {
+                idle_latency: idle,
+                full_latency: full,
+                stalls,
+                curve,
+            }
+        };
+        for case in 0..20_000 {
+            let mut model = InterleaveModel {
+                dram: tier(&mut rng),
+                slow: tier(&mut rng),
+                baseline_cycles: if rng.below(8) == 0 { 0.5 } else { 1e3 + rng.unit() * 1e9 },
+                boundness: Boundness::BandwidthBound,
+                profiling_runs: 2,
+            };
+            if rng.below(8) == 0 {
+                // No stalls: a flat curve of equal minima, where the search
+                // must keep ratio 1.0.
+                let none = ComponentStalls { llc: 0.0, cache: 0.0, sb: 0.0 };
+                (model.dram.stalls, model.slow.stalls) = (none, none);
+            }
+            let (got, want) = (best_shot(&model), point_by_point_best_shot(&model));
+            assert!(
+                same(got.ratio, want.ratio)
+                    && same(got.predicted_slowdown, want.predicted_slowdown),
+                "case {case}: {got:?} vs {want:?} for {model:?}"
+            );
+            let curve = ModelCurve::new(&model);
+            for (x, total) in model.curve(100) {
+                assert!(same(total, curve.total(x)), "case {case}: curve at {x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "in [0,1]")]
+    fn a_curve_of_no_steps_is_rejected() {
+        let _ = InterleaveModel {
+            dram: endpoint(1.0, 1.0, 0.0),
+            slow: endpoint(2.0, 2.0, 0.0),
+            baseline_cycles: 1.0,
+            boundness: Boundness::LatencyBound,
+            profiling_runs: 1,
+        }
+        .curve(0);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! emits the same bytes.
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
+
+mod ryu;
 
 /// A JSON value. Object members keep insertion order, which keeps emitted
 /// manifests deterministic and diffable.
@@ -181,36 +183,130 @@ impl From<bool> for Json {
 /// Appends `n` as [`Json::render`] writes a number: integral values
 /// below 2^53 without a fraction, others in shortest round-trip form,
 /// non-finite ones as `null`.
+///
+/// The digits are those `format!("{n}")` prints, in the same positional
+/// form (no exponent: trailing zeros for large integers, `0.000…` for
+/// small values), but generated directly: an in-crate Ryū finds the
+/// shortest digits that read back as `n` in a few integer
+/// multiplications, where `core::fmt` runs Grisu with a Dragon fallback
+/// behind a formatter.
 pub fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/Infinity; emit null rather than invalid output.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < (1u64 << 53) as f64 {
-        // Formatting into a String cannot fail.
-        let _ = write!(out, "{}", n as i64);
+        return;
+    }
+    if n.is_sign_negative() && n != 0.0 {
+        out.push('-');
+    }
+    let magnitude = n.abs();
+    // Integral below 2^53, tested by a round trip through `u64` (the same
+    // answer as `fract() == 0.0`, without a call to `trunc`), goes out as
+    // its integer digits; -0 prints as 0.
+    let (digits, exponent) =
+        if magnitude < (1u64 << 53) as f64 && (magnitude as u64) as f64 == magnitude {
+            (magnitude as u64, 0)
+        } else {
+            ryu::shortest(magnitude)
+        };
+    let len = decimal_len(digits);
+    let mut buf = [0; 20];
+    write_digits(digits, &mut buf[..len]);
+    let digits = ascii(&buf[..len]);
+    // The decimal point sits `point` digits into the digits.
+    let point = len as i32 + exponent;
+    if point <= 0 {
+        out.push_str("0.");
+        push_zeros(-point as usize, out);
+        out.push_str(digits);
+    } else if (point as usize) < len {
+        let (whole, fraction) = digits.split_at(point as usize);
+        out.push_str(whole);
+        out.push('.');
+        out.push_str(fraction);
     } else {
-        // Rust's shortest-roundtrip float formatting is valid JSON.
-        let _ = write!(out, "{n}");
+        out.push_str(digits);
+        push_zeros(point as usize - len, out);
+    }
+}
+
+fn ascii(text: &[u8]) -> &str {
+    std::str::from_utf8(text).expect("ASCII digits")
+}
+
+fn push_zeros(count: usize, out: &mut String) {
+    out.extend(std::iter::repeat_n('0', count));
+}
+
+/// The number of decimal digits of `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().unwrap_or(0) as usize + 1
+}
+
+/// Two decimal digits per entry: `"00"`, `"01"`, … `"99"`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Writes `n`'s decimal digits over the whole of `buf`, which must be
+/// exactly [`decimal_len`] long: eight digits at a time split off as a
+/// `u32`, then two at a time.
+fn write_digits(mut n: u64, buf: &mut [u8]) {
+    let mut end = buf.len();
+    while end > 8 {
+        write_chunk((n % 100_000_000) as u32, &mut buf[end - 8..end]);
+        n /= 100_000_000;
+        end -= 8;
+    }
+    write_chunk(n as u32, &mut buf[..end]);
+}
+
+/// Writes the `out.len()` decimal digits of `chunk` over `out`.
+fn write_chunk(mut chunk: u32, out: &mut [u8]) {
+    let mut end = out.len();
+    while end >= 2 {
+        let pair = (chunk % 100) as usize * 2;
+        chunk /= 100;
+        out[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        end -= 2;
+    }
+    if end == 1 {
+        out[0] = b'0' + chunk as u8;
     }
 }
 
 /// Appends `s` as a quoted JSON string, escaped as [`Json::render`]
-/// escapes it.
+/// escapes it: each run free of escapes is copied whole.
 pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every byte that needs an escape is ASCII, so it is a whole char and
+    // the runs around it end on char boundaries.
+    while let Some(at) = rest.bytes().position(|c| c == b'"' || c == b'\\' || c < 0x20) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(c >> 4)] as char);
+                out.push(HEX[usize::from(c & 0xf)] as char);
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -773,5 +869,145 @@ mod tests {
         let mut doc = parse(r#"{"keep": 1, "drop": 2}"#).unwrap();
         doc.remove("drop");
         assert_eq!(doc.render(), r#"{"keep":1}"#);
+    }
+
+    /// `write_number` must print what `{}` prints: the oracle, with the
+    /// two documented departures (`null` for non-finite values, `0` for
+    /// negative zero).
+    fn assert_writes_like_fmt(n: f64, got: &mut String, want: &mut String) {
+        use std::fmt::Write as _;
+        got.clear();
+        want.clear();
+        write_number(n, got);
+        if !n.is_finite() {
+            want.push_str("null");
+        } else if n == 0.0 {
+            want.push('0');
+        } else {
+            write!(want, "{n}").unwrap();
+        }
+        assert_eq!(got, want, "bits {:#018x}", n.to_bits());
+    }
+
+    /// SplitMix64, for the number writer's random inputs.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn numbers_write_like_fmt_on_every_class_edge() {
+        let mut edges = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            0.1,
+            0.2,
+            0.3,
+            1.0 / 3.0,
+            2.0 / 3.0,
+            0.5,
+            0.125,
+            // A tie between two shortest candidates: 2^50 + 1/4.
+            (1u64 << 50) as f64 + 0.25,
+            123456789.125,
+            9007199254740993.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        // Every power of two, normal and subnormal.
+        edges.extend((0..=1074).map(|k| f64::from_bits(1) * 2f64.powi(k)));
+        // Every power of ten a double reaches.
+        edges.extend((-323..=308).map(|k| format!("1e{k}").parse::<f64>().unwrap()));
+        // Integers around 2^53 and round integers up to 1e308.
+        let two53 = (1u64 << 53) as f64;
+        edges.extend((-4..=4).map(|k| two53 + 2.0 * k as f64));
+        edges.extend((1..=308).map(|k| 3.0 * 10f64.powi(k)));
+        edges.extend((15..=22).map(|k| 10f64.powi(k) + 1.0));
+        // Each value's neighbours, and every value negated.
+        let neighbours: Vec<f64> = edges
+            .iter()
+            .filter(|n| n.is_finite() && **n != 0.0)
+            .flat_map(|n| {
+                [
+                    f64::from_bits(n.to_bits() - 1),
+                    f64::from_bits(n.to_bits() + 1),
+                ]
+            })
+            .collect();
+        edges.extend(neighbours);
+        let negated: Vec<f64> = edges.iter().map(|n| -n).collect();
+        edges.extend(negated);
+        let (mut got, mut want) = (String::new(), String::new());
+        for n in edges {
+            assert_writes_like_fmt(n, &mut got, &mut want);
+        }
+    }
+
+    #[test]
+    fn numbers_write_like_fmt_on_random_bit_patterns() {
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut state = 0x5eed;
+        for _ in 0..1 << 20 {
+            assert_writes_like_fmt(f64::from_bits(splitmix(&mut state)), &mut got, &mut want);
+        }
+    }
+
+    #[test]
+    fn numbers_write_like_fmt_on_random_wire_values() {
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut state = 0x31e;
+        for i in 0..1 << 20 {
+            let unit = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            // Signature counters (cycles ~1e7), latencies, fractions,
+            // slowdowns of either sign, and Best-shot ratios.
+            let n = match i % 6 {
+                0 => 5e6 + unit * 2e7,
+                1 => 150.0 + unit * 500.0,
+                2 => unit,
+                3 => (unit - 0.25) * 4.0,
+                4 => unit * 10f64.powi(i % 40 - 20),
+                _ => (i % 101) as f64 / 100.0,
+            };
+            assert_writes_like_fmt(n, &mut got, &mut want);
+        }
+    }
+
+    #[test]
+    fn strings_escape_every_class_at_every_position() {
+        let escapes = [
+            ("\"", "\\\""),
+            ("\\", "\\\\"),
+            ("\n", "\\n"),
+            ("\r", "\\r"),
+            ("\t", "\\t"),
+            ("\u{0}", "\\u0000"),
+            ("\u{8}", "\\u0008"),
+            ("\u{1f}", "\\u001f"),
+        ];
+        for (raw, escaped) in escapes {
+            for (text, want) in [
+                (raw.to_string(), escaped.to_string()),
+                (format!("{raw}ab"), format!("{escaped}ab")),
+                (format!("ab{raw}"), format!("ab{escaped}")),
+                (format!("a→{raw}é"), format!("a→{escaped}é")),
+                (format!("{raw}{raw}"), format!("{escaped}{escaped}")),
+                (format!("x{raw}\"y"), format!("x{escaped}\\\"y")),
+            ] {
+                let mut out = String::new();
+                write_string(&text, &mut out);
+                assert_eq!(out, format!("\"{want}\""), "{text:?}");
+                assert_eq!(parse(&out).unwrap().as_str(), Some(text.as_str()));
+            }
+        }
+        let mut out = String::new();
+        write_string("plain → text", &mut out);
+        assert_eq!(out, "\"plain → text\"");
     }
 }

@@ -417,7 +417,12 @@ impl std::str::FromStr for DeviceKind {
         ]
         .into_iter()
         .find(|d| {
-            d.name().eq_ignore_ascii_case(s) || d.name().replace('-', "").eq_ignore_ascii_case(s)
+            // The dashless spelling, compared byte by byte without building it.
+            let dashless = d.name().bytes().filter(|&c| c != b'-');
+            d.name().eq_ignore_ascii_case(s)
+                || dashless
+                    .map(|c| c.to_ascii_lowercase())
+                    .eq(s.bytes().map(|c| c.to_ascii_lowercase()))
         })
         .ok_or_else(|| {
             format!("unknown device '{s}' (expected DRAM, NUMA, CXL-A, CXL-B, or CXL-C)")
@@ -595,17 +600,34 @@ mod tests {
         assert_eq!("emr".parse(), Ok(Platform::Emr2s));
         assert!("skx2".parse::<Platform>().is_err());
         assert!("2s".parse::<Platform>().is_err());
-        for kind in DeviceKind::SLOW_TIERS {
-            assert_eq!(kind.name().parse(), Ok(kind));
-            assert_eq!(kind.name().to_lowercase().parse(), Ok(kind));
+        let devices = [DeviceKind::LocalDram].into_iter().chain(DeviceKind::SLOW_TIERS);
+        for kind in devices {
+            let dashless = kind.name().replace('-', "");
+            for spelling in [
+                kind.name().to_string(),
+                kind.name().to_lowercase(),
+                dashless.clone(),
+                dashless.to_lowercase(),
+            ] {
+                assert_eq!(spelling.parse(), Ok(kind), "{spelling}");
+            }
         }
         assert_eq!("cxla".parse(), Ok(DeviceKind::CxlA));
         assert_eq!("CXLB".parse(), Ok(DeviceKind::CxlB));
         assert_eq!("cxlc".parse(), Ok(DeviceKind::CxlC));
         assert_eq!("dram".parse(), Ok(DeviceKind::LocalDram));
-        let error = "cxl-z".parse::<DeviceKind>().unwrap_err();
-        assert!(error.contains("unknown device 'cxl-z'"), "{error}");
-        assert!("cxl".parse::<DeviceKind>().is_err());
+        assert_eq!("Cxl-a".parse(), Ok(DeviceKind::CxlA));
+        for near_miss in [
+            "cxl", "cxl-z", "cxl--a", "cxla-", "-cxla", "c-xla", "cxl-ab", "", "-",
+        ] {
+            let error = near_miss.parse::<DeviceKind>().unwrap_err();
+            assert_eq!(
+                error,
+                format!(
+                    "unknown device '{near_miss}' (expected DRAM, NUMA, CXL-A, CXL-B, or CXL-C)"
+                )
+            );
+        }
     }
 
     #[test]
