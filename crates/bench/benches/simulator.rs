@@ -7,7 +7,7 @@
 //! number of these runs).
 //!
 //! Run with `cargo bench --bench simulator`; append `-- --json PATH` to
-//! archive a machine-readable snapshot (see `BENCH_harness.json`), or
+//! archive a machine-readable snapshot (see `BENCH_engine.json`), or
 //! `-- --smoke` for a seconds-long CI-sized pass over the same code
 //! paths (tiny op counts — the numbers are not comparable to a full run).
 

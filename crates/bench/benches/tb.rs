@@ -4,7 +4,7 @@
 //! benches use this std-only timer: N timed samples of a closure, median /
 //! mean / min and the median absolute deviation (MAD) in ns per
 //! iteration, optional elements-per-second throughput, and a hand-rolled
-//! JSON dump for archived snapshots (`BENCH_harness.json`).
+//! JSON dump for archived snapshots (`BENCH_engine.json`).
 
 // Shared by several bench targets; each uses a subset of the API.
 #![allow(dead_code)]

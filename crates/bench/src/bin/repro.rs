@@ -250,7 +250,7 @@ fn main() -> ExitCode {
     if args.trace_stats {
         let traces = ctx.traces();
         eprintln!("trace cache: per-workload statistics");
-        eprintln!("{:<32} {:>7} {:>10} {:>12}", "workload", "threads", "ops", "packed bytes");
+        eprintln!("{:<32} {:>7} {:>10} {:>12}", "workload", "threads", "ops", "bytes");
         for stat in traces.stats() {
             eprintln!(
                 "{:<32} {:>7} {:>10} {:>12}",
@@ -258,7 +258,7 @@ fn main() -> ExitCode {
             );
         }
         eprintln!(
-            "trace cache: {} traces generated, {} hits / {} requests, {:.1} MiB packed",
+            "trace cache: {} traces generated, {} hits / {} requests, {:.1} MiB encoded",
             traces.generated(),
             traces.hits(),
             traces.requests(),

@@ -199,7 +199,7 @@ impl Machine {
         self.run_trace(workload, &trace)
     }
 
-    /// Runs a workload from an explicit packed trace (see
+    /// Runs a workload from an explicit op trace (see
     /// [`Workload::trace`]). [`Machine::run`] is this plus trace
     /// resolution; callers that already hold a shared trace (the
     /// experiment harness's cache, benchmarks) skip the resolution.
@@ -749,20 +749,10 @@ impl<'a> Engine<'a> {
 
     // ---- main loop ----------------------------------------------------
 
-    /// Ops ingested per batch: large enough that the per-batch loop
-    /// overhead vanishes, small enough that a batch's packed records stay
-    /// L1-resident while they decode.
-    const OP_BATCH: usize = 4096;
-
     fn execute(mut self, workload: &dyn Workload, trace: &OpTrace) -> RunReport {
         let window = self.cfg.sched_window as u64;
-        // Batched slice ingestion: the hottest loop in the simulator walks
-        // flat 12-byte records with an inlined decode, not a boxed virtual
-        // iterator over 16-byte enums.
-        for batch in trace.packed().chunks(Self::OP_BATCH) {
-            for packed in batch {
-                self.step(packed.decode(), window);
-            }
+        for op in trace.iter() {
+            self.step(op, window);
         }
         self.finish(workload)
     }

@@ -16,11 +16,12 @@
 //!   interleaving ([`placement`]),
 //! - an out-of-order engine that attributes every exposed stall cycle to
 //!   the PMU counter a real machine would attribute it to ([`engine`]),
-//! - a compact packed op-trace layer with a single-flight cache
-//!   ([`optrace`], on the generic [`memo::Memo`]) so one generated op
-//!   stream feeds every engine run and every policy profiling pass, and
-//!   one trace-backed workload ([`Traced`]) whose file codec replays
-//!   memory traces captured outside this program,
+//! - a compact op-trace layer with a single-flight cache ([`optrace`], on
+//!   the generic [`memo::Memo`]) so one generated op stream feeds every
+//!   engine run and every policy profiling pass; a trace holds the trace
+//!   file's delta-varint records, so one trace-backed workload
+//!   ([`Traced`]) writes any op stream to a file and replays memory
+//!   traces captured outside this program,
 //! - an order-preserving parallel map ([`par`]) that fans independent
 //!   runs out over cores.
 //!
@@ -72,6 +73,6 @@ pub use config::{
 pub use engine::Machine;
 pub use error::SimError;
 pub use op::{Op, Workload};
-pub use optrace::{OpTrace, PackedOp, TraceCache, TraceStats, Traced};
+pub use optrace::{OpTrace, TraceCache, TraceStats, Traced};
 pub use placement::{Placement, TierId};
 pub use report::{Epoch, RunReport, TierReport};

@@ -109,8 +109,9 @@ pub trait Workload: Send + Sync {
     /// instruction streams.
     fn ops(&self) -> Box<dyn Iterator<Item = Op> + '_>;
 
-    /// The workload's op stream as a shared packed trace — what the engine
-    /// actually executes.
+    /// The workload's op stream as a shared encoded trace — what the engine
+    /// actually executes, and what [`crate::optrace::Traced::write_to`]
+    /// writes to a file.
     ///
     /// The default implementation materialises [`Workload::ops`] on every
     /// call, so custom workloads keep working unchanged. Implementations

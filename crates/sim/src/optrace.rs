@@ -1,4 +1,4 @@
-//! Shared compact op traces: generate-once, packed, cache-friendly.
+//! Shared compact op traces: generate-once, encoded, cache-friendly.
 //!
 //! Kernels stay cheap *generators* ([`Workload::ops`]), but every consumer
 //! of a workload — each engine run per (platform, device, placement), plus
@@ -7,11 +7,12 @@
 //! the experiment harness (the graph kernels rebuild a whole CSR per
 //! call). This module decouples generation from consumption:
 //!
-//! - [`PackedOp`] is a 12-byte packed record (vs the 16-byte [`Op`] enum)
-//!   so a materialised stream is 25% smaller and iterates branch-predictably
-//!   over a flat slice instead of through a `Box<dyn Iterator>`;
-//! - [`OpTrace`] is an immutable packed stream, built once and shared via
-//!   `Arc` across engine runs, policies and threads;
+//! - [`OpTrace`] is an immutable op stream held as the trace file's
+//!   delta-varint records (see [`Traced`]'s file format), ~3.7 bytes per op
+//!   over the suite against 16 for the [`Op`] enum, built once and shared
+//!   via `Arc` across engine runs, policies and threads. Its one encoder
+//!   and one decoder are the file format's, so a file is its header plus
+//!   the bytes a trace holds;
 //! - [`TraceCache`] memoises traces on a single-flight [`Memo`] (the same
 //!   table as the experiment harness's run cache): concurrent requests for
 //!   one workload generate it exactly once, the rest share the result;
@@ -26,95 +27,29 @@ use crate::op::{Op, Workload};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// A fixed-width 12-byte encoding of one [`Op`].
+/// An immutable, materialised op stream in the trace file's record
+/// encoding.
 ///
-/// Layout (`repr(C)`, three little-endian words):
-///
-/// | field  | Load              | Store             | Compute        |
-/// |--------|-------------------|-------------------|----------------|
-/// | `lo`   | addr bits 0..32   | addr bits 0..32   | cycles         |
-/// | `hi`   | addr bits 32..64  | addr bits 32..64  | 0 (reserved)   |
-/// | `meta` | kind \| dep << 2  | kind              | kind           |
-///
-/// `meta` bits 0..2 hold the kind, bits 2..10 hold the load dependence
-/// distance, bits 10..32 are reserved and must be zero (checked by a
-/// `debug_assert` in [`PackedOp::decode`]).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedOp {
-    lo: u32,
-    hi: u32,
-    meta: u32,
-}
-
-const KIND_LOAD: u32 = 0;
-const KIND_STORE: u32 = 1;
-const KIND_COMPUTE: u32 = 2;
-const META_KIND_BITS: u32 = 2;
-const META_RESERVED_SHIFT: u32 = 10;
-
-// The packed record is the unit the whole trace layer scales by; growing
-// it silently would regress every cached workload. 12 bytes, no padding.
-const _: () = assert!(std::mem::size_of::<PackedOp>() == 12);
-const _: () = assert!(std::mem::align_of::<PackedOp>() == 4);
-
-impl PackedOp {
-    /// Packs an [`Op`] losslessly.
-    #[inline]
-    pub fn encode(op: Op) -> PackedOp {
-        match op {
-            Op::Load { addr, dep } => PackedOp {
-                lo: addr as u32,
-                hi: (addr >> 32) as u32,
-                meta: KIND_LOAD | ((dep as u32) << META_KIND_BITS),
-            },
-            Op::Store { addr } => PackedOp {
-                lo: addr as u32,
-                hi: (addr >> 32) as u32,
-                meta: KIND_STORE,
-            },
-            Op::Compute { cycles } => PackedOp { lo: cycles, hi: 0, meta: KIND_COMPUTE },
-        }
-    }
-
-    /// Unpacks back to an [`Op`]. Exact inverse of [`PackedOp::encode`].
-    #[inline(always)]
-    pub fn decode(self) -> Op {
-        let kind = self.meta & ((1 << META_KIND_BITS) - 1);
-        debug_assert!(
-            self.meta >> META_RESERVED_SHIFT == 0,
-            "reserved PackedOp meta bits set: {:#x}",
-            self.meta
-        );
-        debug_assert!(kind <= KIND_COMPUTE, "invalid PackedOp kind {kind}");
-        let addr = self.lo as u64 | (self.hi as u64) << 32;
-        match kind {
-            KIND_LOAD => Op::Load { addr, dep: (self.meta >> META_KIND_BITS) as u8 },
-            KIND_STORE => Op::Store { addr },
-            _ => {
-                debug_assert!(self.hi == 0, "reserved PackedOp payload bits set");
-                Op::Compute { cycles: self.lo }
-            }
-        }
-    }
-}
-
-/// An immutable, materialised op stream in packed form.
-///
-/// Built once from a generator (or any op iterator) and then shared —
-/// typically as `Arc<OpTrace>` through a [`TraceCache`] — by every
-/// consumer that would otherwise re-run the generator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Built once from a generator (or any op iterator) or read from a file,
+/// and then shared — typically as `Arc<OpTrace>` through a [`TraceCache`]
+/// — by every consumer that would otherwise re-run the generator.
+#[derive(Debug, Clone)]
 pub struct OpTrace {
-    ops: Vec<PackedOp>,
+    /// Op records, well-formed by construction: written by [`put_op`] or
+    /// validated by [`Traced::read_from`].
+    bytes: Box<[u8]>,
+    len: usize,
 }
 
 impl OpTrace {
     /// Materialises a trace from any op stream.
     pub fn from_ops(ops: impl IntoIterator<Item = Op>) -> OpTrace {
-        OpTrace {
-            ops: ops.into_iter().map(PackedOp::encode).collect(),
+        let (mut bytes, mut len, mut last_addr) = (Vec::new(), 0, 0);
+        for op in ops {
+            put_op(&mut bytes, &mut last_addr, op);
+            len += 1;
         }
+        OpTrace { bytes: bytes.into_boxed_slice(), len }
     }
 
     /// Materialises a workload's full op stream.
@@ -122,45 +57,88 @@ impl OpTrace {
         Self::from_ops(workload.ops())
     }
 
-    /// The packed records, for batched slice iteration.
-    #[inline]
-    pub fn packed(&self) -> &[PackedOp] {
-        &self.ops
-    }
-
     /// Decoded ops, element-for-element equal to the generating stream.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = Op> + '_ {
-        self.ops.iter().map(|&p| p.decode())
+        Records { rest: &self.bytes, last_addr: 0 }
     }
 
     /// Number of ops in the trace.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// True if the trace holds no ops.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
     }
 
-    /// Size of the packed records in bytes.
+    /// Size of the encoded records in bytes.
     pub fn packed_bytes(&self) -> usize {
-        self.ops.len() * std::mem::size_of::<PackedOp>()
+        self.bytes.len()
     }
 }
 
-impl<'a> IntoIterator for &'a OpTrace {
+/// The one decoder of op records: the unread bytes and the address the
+/// next load or store delta applies to.
+struct Records<'a> {
+    rest: &'a [u8],
+    last_addr: u64,
+}
+
+impl Records<'_> {
+    /// Decodes the next record, or `None` at the end of the bytes.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for an unknown tag, a long-dependence load whose
+    /// `dep` fits a chase tag, a varint over 64 bits or a compute op over
+    /// `u32::MAX` cycles; `UnexpectedEof` for a truncated record.
+    #[inline(always)]
+    fn try_next(&mut self) -> io::Result<Option<Op>> {
+        let Some((&tag, rest)) = self.rest.split_first() else {
+            return Ok(None);
+        };
+        self.rest = rest;
+        let dep = match tag {
+            TAG_LOAD | TAG_STORE | TAG_COMPUTE => 0,
+            TAG_LOAD_DEP => match self.rest.split_first() {
+                Some((&dep, rest)) if dep > MAX_CHASE_DEP => {
+                    self.rest = rest;
+                    dep
+                }
+                Some((dep, _)) => {
+                    return Err(invalid_data(format!("long-dependence load of dep {dep}")))
+                }
+                None => return Err(io::ErrorKind::UnexpectedEof.into()),
+            },
+            t if (TAG_CHASE_BASE + 1..=TAG_CHASE_BASE + MAX_CHASE_DEP).contains(&t) => {
+                t - TAG_CHASE_BASE
+            }
+            other => return Err(invalid_data(format!("unknown op tag {other}"))),
+        };
+        let payload = take_varint(&mut self.rest)?;
+        if tag == TAG_COMPUTE {
+            return match u32::try_from(payload) {
+                Ok(cycles) => Ok(Some(Op::compute(cycles))),
+                Err(_) => Err(invalid_data(format!("compute op of {payload} cycles exceeds u32"))),
+            };
+        }
+        self.last_addr = self.last_addr.wrapping_add_signed(unzigzag(payload));
+        Ok(Some(if tag == TAG_STORE {
+            Op::store(self.last_addr)
+        } else {
+            Op::Load { addr: self.last_addr, dep }
+        }))
+    }
+}
+
+impl Iterator for Records<'_> {
     type Item = Op;
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, PackedOp>, fn(&PackedOp) -> Op>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.ops.iter().map(|&p| p.decode())
-    }
-}
-
-impl FromIterator<Op> for OpTrace {
-    fn from_iter<T: IntoIterator<Item = Op>>(iter: T) -> Self {
-        OpTrace::from_ops(iter)
+    #[inline(always)]
+    fn next(&mut self) -> Option<Op> {
+        self.try_next().expect("trace records are well-formed by construction")
     }
 }
 
@@ -244,7 +222,7 @@ impl TraceCache {
         stats
     }
 
-    /// Total packed bytes held by the cache.
+    /// Total encoded bytes held by the cache.
     pub fn packed_bytes(&self) -> usize {
         self.stats().iter().map(|s| s.packed_bytes).sum()
     }
@@ -259,7 +237,7 @@ pub struct TraceStats {
     pub threads: u32,
     /// Ops in the trace.
     pub ops: usize,
-    /// Packed size in bytes.
+    /// Encoded size in bytes ([`OpTrace::packed_bytes`]).
     pub packed_bytes: usize,
 }
 
@@ -268,15 +246,19 @@ pub struct TraceStats {
 /// trace captured outside this program and loaded with
 /// [`Traced::read_from`]. Cloning shares the trace.
 ///
-/// # File format (version 1)
+/// # File format (version 2)
 ///
 /// A 16-byte little-endian header — magic `"TPMC"` (`u32` `0x434d5054`),
 /// version (`u16`), thread count (`u16`), footprint in bytes (`u64`) —
 /// then one record per op: a tag byte and a LEB128 varint payload. Tag
-/// 0 is a load, `0x40 + dep` a dependent load (`dep` 1..=64), 1 a store
-/// (both carry the ZigZag-encoded address delta from the previous load
+/// 0 is a load, `0x40 + dep` a dependent load (`dep` 1..=64), 3 a load
+/// whose `dep` (65..=255) follows as one byte, 1 a store (all loads and
+/// stores carry the ZigZag-encoded address delta from the previous load
 /// or store address, starting at 0), and 2 a compute op (its cycles).
-/// Sequential scans cost ~2 bytes per op.
+/// Sequential scans cost ~2 bytes per op. An [`OpTrace`] holds exactly
+/// these records, so a file is its header plus the trace's bytes.
+///
+/// Version 1 is version 2 without tag 3; the reader accepts both.
 ///
 /// # Example
 ///
@@ -312,25 +294,25 @@ pub struct Traced {
 }
 
 const MAGIC: u32 = 0x434d_5054;
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 const HEADER_BYTES: usize = 16;
 const TAG_LOAD: u8 = 0;
 const TAG_STORE: u8 = 1;
 const TAG_COMPUTE: u8 = 2;
-/// Dependent loads take tag `TAG_CHASE_BASE + dep`.
+/// A load whose `dep` exceeds [`MAX_CHASE_DEP`]; the `dep` byte follows.
+const TAG_LOAD_DEP: u8 = 3;
+/// Dependent loads up to [`MAX_CHASE_DEP`] take tag `TAG_CHASE_BASE + dep`.
 const TAG_CHASE_BASE: u8 = 0x40;
-/// Largest load dependency distance the format encodes.
-const MAX_DEP: u8 = 64;
+/// Largest load dependency distance a chase tag encodes.
+const MAX_CHASE_DEP: u8 = 64;
 
 impl Traced {
-    /// Writes the trace in the file format above: encoded into one buffer,
-    /// then one `write_all` and a flush.
+    /// Writes the header, then the trace's records as they are stored.
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput`, writing nothing, if `threads` exceeds the
-    /// header's 16 bits or a load's `dep` exceeds 64; propagates I/O
-    /// errors from `out`.
+    /// header's 16 bits; propagates I/O errors from `out`.
     pub fn write_to(&self, mut out: impl Write) -> io::Result<()> {
         let threads = u16::try_from(self.threads).map_err(|_| {
             io::Error::new(
@@ -342,97 +324,92 @@ impl Traced {
                 ),
             )
         })?;
-        let mut buf = Vec::with_capacity(HEADER_BYTES + 3 * self.trace.len());
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&threads.to_le_bytes());
-        buf.extend_from_slice(&self.footprint_bytes.to_le_bytes());
-        let mut last_addr = 0u64;
-        let mut delta =
-            |addr: u64| zigzag(addr.wrapping_sub(std::mem::replace(&mut last_addr, addr)) as i64);
-        for op in self.trace.iter() {
-            let (tag, payload) = match op {
-                Op::Load { dep, .. } if dep > MAX_DEP => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "load dependency distance {dep} exceeds the trace format's {MAX_DEP}"
-                        ),
-                    ));
-                }
-                Op::Load { addr, dep: 0 } => (TAG_LOAD, delta(addr)),
-                Op::Load { addr, dep } => (TAG_CHASE_BASE + dep, delta(addr)),
-                Op::Store { addr } => (TAG_STORE, delta(addr)),
-                Op::Compute { cycles } => (TAG_COMPUTE, u64::from(cycles)),
-            };
-            buf.push(tag);
-            put_varint(&mut buf, payload);
-        }
-        out.write_all(&buf)?;
+        let header = [
+            &MAGIC.to_le_bytes()[..],
+            &VERSION.to_le_bytes(),
+            &threads.to_le_bytes(),
+            &self.footprint_bytes.to_le_bytes(),
+        ]
+        .concat();
+        out.write_all(&header)?;
+        out.write_all(&self.trace.bytes)?;
         out.flush()
     }
 
-    /// Reads a trace in the file format above (one `read_to_end`, then a
-    /// parse of the bytes). A header thread count of 0 loads as 1.
+    /// Reads a trace in the file format above, version 1 or 2: the header,
+    /// then one `read_to_end` and one validation pass over the records,
+    /// which the trace then keeps as they are. A header thread count of 0
+    /// loads as 1.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a bad magic or version, an unknown tag, a
-    /// varint over 64 bits or a compute op over `u32::MAX` cycles, and
-    /// `UnexpectedEof` for a truncated header or record; propagates I/O
-    /// errors from `input`.
+    /// Returns `InvalidData` for a bad magic or version, an unknown tag
+    /// (tag 3 in a version 1 file), a varint over 64 bits or a compute op
+    /// over `u32::MAX` cycles, and `UnexpectedEof` for a truncated header
+    /// or record; propagates I/O errors from `input`.
     pub fn read_from(mut input: impl Read, name: impl Into<String>) -> io::Result<Traced> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        let Some((header, mut rest)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        };
+        let mut header = [0u8; HEADER_BYTES];
+        input.read_exact(&mut header)?;
         if header[..4] != MAGIC.to_le_bytes() {
             return Err(invalid_data("not a CAMP trace".into()));
         }
         let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(invalid_data(format!("unsupported trace version {version}")));
         }
         let threads = u16::from_le_bytes([header[6], header[7]]);
         let footprint_bytes = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
-        let mut ops = Vec::new();
-        let mut last_addr = 0u64;
-        while let Some((&tag, tail)) = rest.split_first() {
-            rest = tail;
-            let dep = match tag {
-                TAG_LOAD | TAG_STORE | TAG_COMPUTE => 0,
-                t if (TAG_CHASE_BASE + 1..=TAG_CHASE_BASE + MAX_DEP).contains(&t) => {
-                    t - TAG_CHASE_BASE
-                }
-                other => return Err(invalid_data(format!("unknown op tag {other}"))),
-            };
-            let payload = take_varint(&mut rest)?;
-            let op = if tag == TAG_COMPUTE {
-                Op::compute(u32::try_from(payload).map_err(|_| {
-                    invalid_data(format!("compute op of {payload} cycles exceeds u32"))
-                })?)
-            } else {
-                last_addr = last_addr.wrapping_add_signed(unzigzag(payload));
-                if tag == TAG_STORE {
-                    Op::store(last_addr)
-                } else {
-                    Op::Load { addr: last_addr, dep }
-                }
-            };
-            ops.push(PackedOp::encode(op));
+        let mut bytes = Vec::new();
+        input.read_to_end(&mut bytes)?;
+        let mut records = Records { rest: &bytes, last_addr: 0 };
+        let mut len = 0;
+        while let Some(op) = records.try_next()? {
+            if version == 1 && matches!(op, Op::Load { dep, .. } if dep > MAX_CHASE_DEP) {
+                return Err(invalid_data(format!("unknown op tag {TAG_LOAD_DEP} in version 1")));
+            }
+            len += 1;
         }
         Ok(Traced {
             name: name.into(),
             threads: u32::from(threads.max(1)),
             footprint_bytes,
-            trace: Arc::new(OpTrace { ops }),
+            trace: Arc::new(OpTrace { bytes: bytes.into_boxed_slice(), len }),
         })
     }
 }
 
+#[cold]
 fn invalid_data(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// The one encoder of op records: appends `op`'s record to `buf`.
+fn put_op(buf: &mut Vec<u8>, last_addr: &mut u64, op: Op) {
+    let mut delta =
+        |addr: u64| zigzag(addr.wrapping_sub(std::mem::replace(last_addr, addr)) as i64);
+    let payload = match op {
+        Op::Load { addr, dep: 0 } => {
+            buf.push(TAG_LOAD);
+            delta(addr)
+        }
+        Op::Load { addr, dep: dep @ 1..=MAX_CHASE_DEP } => {
+            buf.push(TAG_CHASE_BASE + dep);
+            delta(addr)
+        }
+        Op::Load { addr, dep } => {
+            buf.extend([TAG_LOAD_DEP, dep]);
+            delta(addr)
+        }
+        Op::Store { addr } => {
+            buf.push(TAG_STORE);
+            delta(addr)
+        }
+        Op::Compute { cycles } => {
+            buf.push(TAG_COMPUTE);
+            u64::from(cycles)
+        }
+    };
+    put_varint(buf, payload);
 }
 
 /// ZigZag encoding for signed address deltas.
@@ -454,23 +431,25 @@ fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
 
 /// Parses one LEB128 varint off the front of `input`, rejecting any that
 /// does not fit 64 bits instead of dropping its high bits.
+#[inline(always)]
 fn take_varint(input: &mut &[u8]) -> io::Result<u64> {
     let mut value = 0u64;
-    for shift in (0..64).step_by(7) {
-        let Some((&byte, rest)) = input.split_first() else {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        };
-        *input = rest;
+    for (i, &byte) in input.iter().take(10).enumerate() {
         let bits = u64::from(byte & 0x7f);
-        if shift == 63 && bits > 1 {
+        if i == 9 && bits > 1 {
             break;
         }
-        value |= bits << shift;
+        value |= bits << (7 * i);
         if byte & 0x80 == 0 {
+            *input = &input[i + 1..];
             return Ok(value);
         }
     }
-    Err(invalid_data("varint exceeds 64 bits".into()))
+    Err(if input.len() < 10 {
+        io::ErrorKind::UnexpectedEof.into()
+    } else {
+        invalid_data("varint exceeds 64 bits".into())
+    })
 }
 
 impl Workload for Traced {
@@ -515,36 +494,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_op_is_twelve_bytes() {
-        assert_eq!(std::mem::size_of::<PackedOp>(), 12);
-        assert_eq!(std::mem::size_of::<Op>(), 16, "packed must beat the enum");
-    }
-
-    #[test]
-    fn encode_decode_round_trips_exactly() {
-        for op in sample_ops() {
-            assert_eq!(PackedOp::encode(op).decode(), op, "{op:?}");
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "reserved PackedOp meta bits")]
-    fn reserved_meta_bits_are_rejected_in_debug() {
-        let bad = PackedOp { lo: 0, hi: 0, meta: 1 << 20 };
-        let _ = bad.decode();
-    }
-
-    #[test]
     fn trace_matches_generator_element_for_element() {
         let trace = OpTrace::from_ops(sample_ops());
         assert_eq!(trace.len(), sample_ops().len());
         assert!(!trace.is_empty());
-        assert_eq!(trace.packed_bytes(), trace.len() * 12);
         let decoded: Vec<Op> = trace.iter().collect();
         assert_eq!(decoded, sample_ops());
-        let via_ref: Vec<Op> = (&trace).into_iter().collect();
-        assert_eq!(via_ref, sample_ops());
     }
 
     struct Counting {
@@ -631,7 +586,8 @@ mod tests {
         assert_eq!(stats[0].workload, "stats");
         assert_eq!(stats[0].threads, 1);
         assert_eq!(stats[0].ops, 100);
-        assert_eq!(stats[0].packed_bytes, 1200);
+        // A tag byte and a one-byte delta per load.
+        assert_eq!(stats[0].packed_bytes, 200);
     }
 
     fn traced(threads: u32, footprint_bytes: u64, ops: Vec<Op>) -> Traced {
@@ -654,8 +610,8 @@ mod tests {
         Traced::read_from(bytes, "bad").unwrap_err().kind()
     }
 
-    /// Format version 1, byte for byte: a format change fails here even
-    /// when the writer and reader change together.
+    /// Format version 1, byte for byte, as its writer wrote it: the
+    /// reader still parses it to the same ops.
     #[test]
     fn format_v1_bytes_are_pinned() {
         let ops = vec![
@@ -675,11 +631,59 @@ mod tests {
             0x02, 0xac, 0x02,
             0x00, 0xff, 0x40,
         ];
-        assert_eq!(encode(&traced(3, 1 << 20, ops.clone())), golden);
         let decoded = Traced::read_from(golden, "golden").expect("parse");
         assert_eq!(decoded.threads(), 3);
         assert_eq!(decoded.footprint_bytes(), 1 << 20);
         assert_eq!(decoded.ops().collect::<Vec<_>>(), ops);
+        // Version 2 moved only the header's version field for these ops.
+        let mut as_v2 = golden.to_vec();
+        as_v2[4] = 2;
+        assert_eq!(encode(&traced(3, 1 << 20, ops)), as_v2);
+    }
+
+    /// Format version 2, byte for byte: a format change fails here even
+    /// when the writer and reader change together.
+    #[test]
+    fn format_v2_bytes_are_pinned() {
+        let ops = vec![
+            Op::load(0x1000),
+            Op::Load { addr: 0x1040, dep: 4 },
+            Op::Load { addr: 0x1000, dep: 106 },
+            Op::store(0x2000),
+            Op::compute(300),
+            Op::Load { addr: 0x0fc0, dep: 255 },
+        ];
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0x54, 0x50, 0x4d, 0x43, 0x02, 0x00, 0x03, 0x00,
+            0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x80, 0x40,
+            0x44, 0x80, 0x01,
+            0x03, 0x6a, 0x7f,
+            0x01, 0x80, 0x40,
+            0x02, 0xac, 0x02,
+            0x03, 0xff, 0xff, 0x40,
+        ];
+        let trace = traced(3, 1 << 20, ops.clone());
+        assert_eq!(encode(&trace), golden);
+        assert_eq!(trace.trace.packed_bytes(), golden.len() - HEADER_BYTES);
+        let decoded = Traced::read_from(golden, "golden").expect("parse");
+        assert_eq!(decoded.threads(), 3);
+        assert_eq!(decoded.footprint_bytes(), 1 << 20);
+        assert_eq!(decoded.ops().collect::<Vec<_>>(), ops);
+        // The same records under a version 1 header hold a tag v1 lacks.
+        let mut as_v1 = golden.to_vec();
+        as_v1[4] = 1;
+        assert_eq!(decode_error(&as_v1), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn long_dependence_tag_must_carry_a_long_dependence() {
+        let mut buffer = encode(&traced(1, 0, vec![]));
+        buffer.extend_from_slice(&[TAG_LOAD_DEP, MAX_CHASE_DEP, 0x00]);
+        assert_eq!(decode_error(&buffer), io::ErrorKind::InvalidData);
+        buffer.truncate(HEADER_BYTES + 1);
+        assert_eq!(decode_error(&buffer), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -719,8 +723,10 @@ mod tests {
     fn bad_magic_is_rejected() {
         assert_eq!(decode_error(b"not a trace at all!!"), io::ErrorKind::InvalidData);
         let mut bad_version = encode(&traced(1, 0, vec![]));
-        bad_version[4] = 2;
-        assert_eq!(decode_error(&bad_version), io::ErrorKind::InvalidData);
+        for version in [0, 3] {
+            bad_version[4] = version;
+            assert_eq!(decode_error(&bad_version), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the generator stream, and engine reports from either path must match
 //! exactly — the determinism contract the trace cache rests on.
 
-use camp_sim::{Machine, Op, OpTrace, Platform, TraceCache, Workload};
+use camp_sim::{Machine, Op, OpTrace, Platform, TraceCache, Traced, Workload};
 use camp_workloads::kernels::mix::MixWeights;
 use camp_workloads::kernels::{
     BurstKernel, Gather, GraphAlgo, GraphKernel, GraphShape, HashProbe, MixKernel, PointerChase,
@@ -112,4 +112,35 @@ fn trace_cache_generates_each_workload_exactly_once_across_threads() {
     assert_eq!(cache.generated(), n, "each workload generated exactly once");
     assert_eq!(cache.requests(), 4 * n);
     assert_eq!(cache.hits(), 3 * n);
+}
+
+/// Ops of each long-dependence workload written to a file, read back and
+/// replayed: the prefix holds loads whose `dep` exceeds a chase tag's 64.
+const LONG_DEP_PREFIX_OPS: usize = 50_000;
+
+#[test]
+fn long_dependence_workloads_replay_from_a_file_exactly() {
+    let machine = Machine::dram_only(Platform::Spr2s);
+    for name in ["spec.502.gcc-4t", "voltdb.read-heavy-sm"] {
+        let workload = camp_workloads::find(name).expect("in suite");
+        let ops: Vec<Op> = workload.ops().take(LONG_DEP_PREFIX_OPS).collect();
+        let deepest = ops.iter().filter_map(|op| match *op {
+            Op::Load { dep, .. } => Some(dep),
+            _ => None,
+        });
+        assert!(deepest.max().expect("loads") > 64, "{name}: prefix needs a dep over 64");
+        let generated = Traced {
+            name: name.into(),
+            threads: workload.threads(),
+            footprint_bytes: workload.footprint_bytes(),
+            trace: Arc::new(OpTrace::from_ops(ops.iter().copied())),
+        };
+        let mut file = Vec::new();
+        generated.write_to(&mut file).expect("every op is encodable");
+        let replayed = Traced::read_from(file.as_slice(), name).expect("parse");
+        assert_eq!(replayed.ops().collect::<Vec<_>>(), ops, "{name}");
+        let (a, b) = (machine.run(&generated), machine.run(&replayed));
+        assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{name}");
+        assert_eq!(a.counters, b.counters, "{name}");
+    }
 }
